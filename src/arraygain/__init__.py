@@ -56,7 +56,6 @@ from .optimize import (
     ContinuousGeometry,
     OptimizationResult,
     gain_upper_bound,
-    hybrid_gain,
     max_elements_for_eirp,
     optimal_geometry_continuous,
     optimal_geometry_integer,
@@ -114,7 +113,6 @@ __all__ = [
     "gain_upper_bound",
     "gaussian_pattern_sampled",
     "grid_for",
-    "hybrid_gain",
     "load_measurements_csv",
     "max_elements_for_eirp",
     "monte_carlo_effective_gain",

@@ -234,7 +234,7 @@ def effective_gain_value(
 
     Same math as :func:`effective_gain` but takes real-valued rows/cols
     and returns just the linear gain.  Used to evaluate the continuous
-    optimum and by the exhaustive scans.
+    optimum, the integer scan with its envelope, and sweep rows.
     """
     if rows <= 0.0 or cols <= 0.0:
         raise ValueError("rows and cols must be positive")

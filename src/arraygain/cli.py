@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from typing import Iterable, Iterator
 
 from .beam import ArrayGeometry, effective_gain, effective_gain_value, nominal_beamwidths
 from .errors import ArrayGainError, ScenarioError
@@ -127,22 +128,21 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     return Scenario(**values)
 
 
-def _emit(lines: list[str], path: str | None) -> None:
-    text = "\n".join(lines) + "\n"
+def _emit(lines: Iterable[str], path: str | None) -> None:
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(line + "\n" for line in lines)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(line + "\n" for line in lines)
 
 
-def _sweep_rows(element, spread, geometries, winner: ArrayGeometry) -> list[str]:
-    lines = [SWEEP_HEADER]
-    for geom in geometries:
-        gain_dbi = linear_to_db(effective_gain_value(element, geom.rows, geom.cols, spread))
-        flag = 1 if (geom.rows, geom.cols) == (winner.rows, winner.cols) else 0
-        lines.append(f"{geom.rows},{geom.cols},{gain_dbi:.6f},{flag}")
-    return lines
+def _sweep_rows(element, spread, geometries, winner: ArrayGeometry) -> Iterator[str]:
+    # geometries: (rows, cols) pairs, consumed once
+    yield SWEEP_HEADER
+    for rows, cols in geometries:
+        gain_dbi = linear_to_db(effective_gain_value(element, rows, cols, spread))
+        flag = 1 if (rows, cols) == (winner.rows, winner.cols) else 0
+        yield f"{rows},{cols},{gain_dbi:.6f},{flag}"
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
@@ -172,7 +172,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     lines.append(f"upper bound: {linear_to_db(result.bound_gain_linear):.6f} dBi")
     _emit(lines, None)
     if args.csv is not None:
-        _emit(_sweep_rows(element, spread, [best], best), args.csv)
+        _emit(_sweep_rows(element, spread, [(best.rows, best.cols)], best), args.csv)
     return 0
 
 
@@ -182,11 +182,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     spread = scenario.spread()
     budget = scenario.budget()
     if args.geometries is None or args.geometries == "all":
-        geometries = [ArrayGeometry(rows=budget // cols, cols=cols) for cols in range(1, budget + 1)]
+        geometries = ((budget // cols, cols) for cols in range(1, budget + 1))
         restriction = scenario.allowed_geometries
     else:
-        geometries = list(parse_geometry_list(args.geometries))
-        restriction = geometries
+        restriction = parse_geometry_list(args.geometries)
+        geometries = ((geom.rows, geom.cols) for geom in restriction)
     winner = optimal_geometry_integer(budget, element, spread, restriction).integer_best
     _emit(_sweep_rows(element, spread, geometries, winner), args.out)
     return 0

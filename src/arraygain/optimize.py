@@ -10,8 +10,8 @@ bw_azim0 / bw_elev0 = asd / zsd.  That gives a closed-form real-valued
 optimum (rows grow with the azimuth spread: widening in azimuth is
 inevitable, so elements are better spent narrowing elevation) plus a
 gain ceiling no geometry can beat.  The integer winner is then found by
-an O(N) exhaustive scan, which also covers the degenerate zero-spread
-cases the closed form cannot.
+a pruned scan around the closed-form cols, which also covers the
+degenerate zero-spread cases the closed form cannot.
 
 EIRP sizing inverts the regulatory cap EIRP = P_t + G_e + 20 log10(n)
 for the largest compliant element count.
@@ -124,11 +124,57 @@ def optimal_geometry_continuous(
     return ContinuousGeometry(rows_real=rows, cols_real=n_elements / rows)
 
 
-def _scan_candidates(n_elements: int) -> Iterable[ArrayGeometry]:
-    # cols from 1 to N, rows = floor(N / cols). Any smaller row count is
-    # dominated: gain is strictly increasing in rows at fixed cols.
-    for cols in range(1, n_elements + 1):
-        yield ArrayGeometry(rows=n_elements // cols, cols=cols)
+def _select(scored: Iterable[tuple[float, int, int]]) -> tuple[float, int, int]:
+    # (gain, rows, cols), at least one, in scan order: a gain above the
+    # best by more than the tolerance wins, a near-tie goes to the taller array
+    candidates = iter(scored)
+    best = next(candidates)
+    for candidate in candidates:
+        if candidate[0] > best[0] * (1.0 + _REL_TOL):
+            best = candidate
+        elif candidate[0] >= best[0] * (1.0 - _REL_TOL) and candidate[1] > best[1]:
+            best = candidate
+    return best
+
+
+def _pruned_window(
+    n: int, element: ElementPattern, spread: AngularSpread, start: int
+) -> list[tuple[float, int, int]]:
+    # (gain, rows = N // cols, cols) in ascending cols, from a cols the
+    # scan over all of 1..N is bound to pick, through every cols that can
+    # come within the tie tolerance of the best
+
+    def envelope(cols: int) -> float:
+        # the gain at rows = N / cols >= N // cols: unimodal in cols, its
+        # squared denominator being const + a * cols**2 + b / cols**2
+        return effective_gain_value(element, n / cols, cols, spread)
+
+    def scored(cols: int) -> tuple[float, int, int]:
+        return effective_gain_value(element, n // cols, cols, spread), n // cols, cols
+
+    # walk out from the peak of E; a walk stops once E is below the best
+    # gain by 4x the tolerance, far above the rounding of E and the gain
+    window: list[tuple[float, int, int]] = []
+    best = 0.0
+    for walk in (range(start, n + 1), range(start - 1, 0, -1)):
+        for cols in walk:
+            if envelope(cols) < best * (1.0 - 4.0 * _REL_TOL):
+                break
+            window.append(scored(cols))
+            best = max(best, window[-1][0])
+    window.sort(key=lambda candidate: candidate[2])
+    while (lo := window[0][2]) > 1:
+        # E rises below the window, so no cols there beats the ceiling; the
+        # first candidate clear of it and of all before it is picked by the
+        # full scan whatever came first, and the scans agree from there on
+        ceiling = envelope(lo - 1) * (1.0 + _REL_TOL)
+        for i, (gain, _, _) in enumerate(window):
+            if gain > ceiling * (1.0 + _REL_TOL):
+                return window[i:]
+            ceiling = max(ceiling, gain)
+        # a staircase of near-ties (tiny spreads, N with many divisors)
+        window[:0] = [scored(cols) for cols in range(max(1, lo - len(window)), lo)]
+    return window
 
 
 def optimal_geometry_integer(
@@ -137,11 +183,13 @@ def optimal_geometry_integer(
     spread: AngularSpread,
     allowed_geometries: Sequence[ArrayGeometry] | None = None,
 ) -> OptimizationResult:
-    """Exhaustive integer optimization of rows x cols within the budget.
+    """Exact integer optimization of rows x cols within the budget.
 
-    Scans cols in [1, N] with rows = floor(N / cols); near-ties (1e-12
-    relative) resolve toward the taller array, so zero spread returns
-    (N, 1) deterministically.
+    Returns the winner of a scan of cols in [1, N], rows = floor(N / cols),
+    where near-ties (1e-12 relative) go to the taller array; zero spread
+    gives (N, 1).  The gain is at most an envelope unimodal in cols, so only
+    cols around the closed-form optimum, out to where the envelope falls
+    clearly below the best gain, can matter, and only those are evaluated.
 
     Parameters
     ----------
@@ -161,9 +209,10 @@ def optimal_geometry_integer(
     """
     if n_elements < 1:
         raise ValueError(f"n_elements must be >= 1, got {n_elements!r}")
-    if allowed_geometries is None:
-        candidates: Iterable[ArrayGeometry] = _scan_candidates(n_elements)
-    else:
+    continuous = None
+    if spread.asd_rad > 0.0 and spread.zsd_rad > 0.0:
+        continuous = optimal_geometry_continuous(n_elements, element, spread)
+    if allowed_geometries is not None:
         if not allowed_geometries:
             raise ValueError("allowed_geometries is empty")
         for geom in allowed_geometries:
@@ -171,22 +220,21 @@ def optimal_geometry_integer(
                 raise ValueError(
                     f"geometry {geom.rows}x{geom.cols} exceeds the element budget {n_elements}"
                 )
-        candidates = allowed_geometries
-
-    best_geom: ArrayGeometry | None = None
-    best_gain = -math.inf
-    for geom in candidates:
-        gain = effective_gain_value(element, geom.rows, geom.cols, spread)
-        if best_geom is None or gain > best_gain * (1.0 + _REL_TOL):
-            best_geom, best_gain = geom, gain
-        elif gain >= best_gain * (1.0 - _REL_TOL) and geom.rows > best_geom.rows:
-            best_geom, best_gain = geom, gain
-    assert best_geom is not None
-
-    if spread.asd_rad > 0.0 and spread.zsd_rad > 0.0:
-        continuous = optimal_geometry_continuous(n_elements, element, spread)
+        _, rows, cols = _select(
+            (effective_gain_value(element, geom.rows, geom.cols, spread), geom.rows, geom.cols)
+            for geom in allowed_geometries
+        )
+    elif spread.is_zero:
+        # every full-budget geometry ties and the tallest comes first
+        rows, cols = n_elements, 1
     else:
-        continuous = None
+        if continuous is not None:
+            start = min(max(round(continuous.cols_real), 1), n_elements)
+        else:
+            # zsd = 0: the envelope falls with cols; asd = 0: it rises
+            start = 1 if spread.zsd_rad == 0.0 else n_elements
+        _, rows, cols = _select(_pruned_window(n_elements, element, spread, start))
+    best_geom = ArrayGeometry(rows=rows, cols=cols)
     return OptimizationResult(
         continuous=continuous,
         integer_best=best_geom,
@@ -219,14 +267,3 @@ def max_elements_for_eirp(
     if n < 1:
         raise EirpTooLowError("EIRP below single-element emission")
     return n
-
-
-def hybrid_gain(n_subpanels: int, subpanel_gain_linear: float) -> float:
-    """Digitally combined gain of M identical analog sub-panels: M times each."""
-    if not isinstance(n_subpanels, int) or isinstance(n_subpanels, bool) or n_subpanels < 1:
-        raise ValueError(f"n_subpanels must be a positive integer, got {n_subpanels!r}")
-    if not (math.isfinite(subpanel_gain_linear) and subpanel_gain_linear > 0.0):
-        raise ValueError(
-            f"subpanel_gain_linear must be finite and > 0, got {subpanel_gain_linear!r}"
-        )
-    return n_subpanels * subpanel_gain_linear

@@ -1,4 +1,4 @@
-"""Degree/radian and decibel/linear conversions.
+"""Decibel/linear conversions.
 
 Everything inside the library runs on radians and linear power; degrees
 and dB/dBi exist only at input/output boundaries.
@@ -7,16 +7,6 @@ and dB/dBi exist only at input/output boundaries.
 from __future__ import annotations
 
 import math
-
-
-def deg_to_rad(value_deg: float) -> float:
-    """Degrees to radians."""
-    return math.radians(value_deg)
-
-
-def rad_to_deg(value_rad: float) -> float:
-    """Radians to degrees."""
-    return math.degrees(value_rad)
 
 
 def db_to_linear(value_db: float) -> float:

@@ -1,10 +1,11 @@
-"""Geometry optimizer: bound, closed form, exhaustive scan, EIRP sizing.
+"""Geometry optimizer: bound, closed form, pruned integer scan, EIRP sizing.
 
 The load-bearing checks:
   - the closed-form optimum attains the bound (AM-GM equality) and
     satisfies the matching condition to 1e-12;
-  - the O(N) scan matches an independent scan over every feasible
-    (rows, cols) pair;
+  - the pruned scan matches an independent scan over every feasible
+    (rows, cols) pair, and picks the same winner as the exhaustive scan
+    over every cols in 1..N;
   - the two published optima, 32x8 for (22, 5) degrees of spread and
     85x3 for (14, 0.6), come out of the scan.
 """
@@ -12,6 +13,9 @@ The load-bearing checks:
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,15 +32,29 @@ from arraygain import (
     effective_gain_value,
     element_pattern_from_gain,
     gain_upper_bound,
-    hybrid_gain,
     max_elements_for_eirp,
     optimal_geometry_continuous,
     optimal_geometry_integer,
 )
+from arraygain import cli
 
 
 def _spread_deg(zsd: float, asd: float) -> AngularSpread:
     return AngularSpread(zsd_rad=math.radians(zsd), asd_rad=math.radians(asd))
+
+
+def _exhaustive_best(n, element, spread):
+    # reference for the pruned scan: every cols in 1..N with rows = N // cols,
+    # ascending, under the same update rule
+    best = None
+    for cols in range(1, n + 1):
+        rows = n // cols
+        gain = effective_gain_value(element, rows, cols, spread)
+        if best is None or gain > best[0] * (1 + 1e-12):
+            best = (gain, rows, cols)
+        elif gain >= best[0] * (1 - 1e-12) and rows > best[1]:
+            best = (gain, rows, cols)
+    return best
 
 
 def _brute_force_best(n, element, spread):
@@ -222,6 +240,82 @@ def test_integer_matches_brute_force():
         assert (result.integer_best.rows, result.integer_best.cols) == (best_rows, best_cols)
 
 
+def test_pruned_scan_matches_exhaustive_scan():
+    rng = np.random.default_rng(2024)
+
+    def spread_component(high):
+        # zero about one case in seven per axis, so both are zero about one in fifty
+        return 0.0 if rng.random() < 1 / 7 else float(rng.uniform(0.0, high))
+
+    for _ in range(2000):
+        n = int(rng.integers(1, 5001))
+        element = ElementPattern(
+            bw_elev_rad=float(rng.uniform(0.05, 1.5)),
+            bw_azim_rad=float(rng.uniform(0.05, 1.5)),
+        )
+        spread = AngularSpread(zsd_rad=spread_component(0.3), asd_rad=spread_component(0.7))
+        best = optimal_geometry_integer(n, element, spread).integer_best
+        assert (best.rows, best.cols) == _exhaustive_best(n, element, spread)[1:]
+
+
+def test_pruned_scan_matches_exhaustive_scan_on_dense_near_ties():
+    # spreads so small that every full-budget geometry of a highly
+    # composite budget is within a few tolerances of the best: the
+    # winner then depends on the order the exhaustive scan meets them
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        n = int(rng.choice([360, 720, 1680, 2520, 5040]))
+        element = ElementPattern(
+            bw_elev_rad=float(rng.uniform(0.05, 1.5)),
+            bw_azim_rad=float(rng.uniform(0.05, 1.5)),
+        )
+        tiny = [0.0, float(10.0 ** rng.uniform(-10.0, -6.0))]
+        spread = AngularSpread(zsd_rad=float(rng.choice(tiny)), asd_rad=float(rng.choice(tiny)))
+        best = optimal_geometry_integer(n, element, spread).integer_best
+        assert (best.rows, best.cols) == _exhaustive_best(n, element, spread)[1:]
+
+
+def test_integer_large_budget_is_a_local_optimum_under_the_bound():
+    element = element_pattern_from_gain(5.0)
+    spread = _spread_deg(5.0, 22.0)
+    n = 10**6
+    result = optimal_geometry_integer(n, element, spread)
+    cols = result.integer_best.cols
+    assert result.integer_best.rows == n // cols
+    gain = result.integer_gain.effective_gain_linear
+    for neighbour in (cols - 1, cols + 1):
+        assert gain >= effective_gain_value(element, n // neighbour, neighbour, spread)
+    assert gain <= gain_upper_bound(n, element, spread)
+
+
+def test_cli_optimize_billion_element_budget_is_fast():
+    # the exhaustive scan would take about 40 minutes here
+    result = subprocess.run(
+        [sys.executable, "-m", "arraygain", "optimize", "--elements", "1000000000",
+         "--element-gain-dbi", "5", "--asd-deg", "22", "--zsd-deg", "5"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "budget: 1000000000 elements" in result.stdout
+
+
+def test_cli_sweep_streams_rows(tmp_path):
+    out = tmp_path / "sweep.csv"
+    tracemalloc.start()
+    try:
+        status = cli.main([
+            "sweep", "--elements", "100000", "--element-gain-dbi", "5",
+            "--asd-deg", "22", "--zsd-deg", "5", "--out", str(out),
+        ])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    assert peak < 5 * 2**20
+    with out.open() as fh:
+        assert sum(1 for _ in fh) == 100_001
+
+
 def test_integer_budget_saturation():
     rng = np.random.default_rng(43)
     for _ in range(40):
@@ -263,7 +357,7 @@ def test_optimization_result_invariant():
         )
 
 
-# --- EIRP sizing and hybrid gain ---------------------------------------
+# --- EIRP sizing --------------------------------------------------------
 
 def test_eirp_sizing_published_points():
     assert max_elements_for_eirp(43.0, 10.0, 5.0) == 25
@@ -277,13 +371,3 @@ def test_eirp_sizing_edge_cases():
     with pytest.raises(ValueError):
         max_elements_for_eirp(math.nan, 10.0, 5.0)
 
-
-def test_hybrid_gain():
-    assert hybrid_gain(1, 123.4) == 123.4
-    assert hybrid_gain(4, 100.0) == 400.0
-    gain_db = 10.0 * math.log10(hybrid_gain(6, 50.0))
-    assert gain_db == pytest.approx(10.0 * math.log10(6.0) + 10.0 * math.log10(50.0), rel=1e-12)
-    with pytest.raises(ValueError):
-        hybrid_gain(0, 10.0)
-    with pytest.raises(ValueError):
-        hybrid_gain(2, 0.0)
