@@ -14,6 +14,11 @@ identical elements at half-wavelength spacing:
   array factor (``oracle``).
 
 The command line front end lives in ``arraygain.cli``.
+
+Only ``oracle`` needs numpy, and it is imported lazily: its names
+(``grid_for``, ``McConfig`` and the rest) resolve from this package on
+first access, so ``import arraygain`` and the ``optimize``, ``sweep`` and
+``estimate`` subcommands run on the standard library alone.
 """
 
 from __future__ import annotations
@@ -60,20 +65,32 @@ from .optimize import (
     optimal_geometry_continuous,
     optimal_geometry_integer,
 )
-from .oracle import (
-    AngularGrid,
-    McConfig,
-    SampledPattern,
-    convolve_effective_pattern,
-    fitted_rms_widths,
-    gaussian_pattern_sampled,
-    grid_for,
-    monte_carlo_effective_gain,
-    upa_array_factor_beamwidth,
-)
 from .scenario import MeasurementRecord, Scenario, load_measurements_csv, parse_scenario_file
 
 __version__ = "0.1.0"
+
+# oracle needs numpy, so its names load on first access (PEP 562)
+_ORACLE_NAMES = frozenset({
+    "AngularGrid",
+    "McConfig",
+    "SampledPattern",
+    "convolve_effective_pattern",
+    "fitted_rms_widths",
+    "gaussian_pattern_sampled",
+    "grid_for",
+    "monte_carlo_effective_gain",
+    "upa_array_factor_beamwidth",
+})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        value = getattr(oracle, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AngularGrid",

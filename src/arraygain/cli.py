@@ -23,13 +23,6 @@ from .beam import ArrayGeometry, effective_gain, effective_gain_value, nominal_b
 from .errors import ArrayGainError, ScenarioError
 from .estimate import estimate_ls, predict_subarray_gain, relative_gains_from_power
 from .optimize import optimal_geometry_integer
-from .oracle import (
-    McConfig,
-    convolve_effective_pattern,
-    gaussian_pattern_sampled,
-    grid_for,
-    monte_carlo_effective_gain,
-)
 from .scenario import (
     Scenario,
     load_measurements_csv,
@@ -231,6 +224,15 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    # the only subcommand that needs numpy; the others never load it
+    from .oracle import (
+        McConfig,
+        convolve_effective_pattern,
+        gaussian_pattern_sampled,
+        grid_for,
+        monte_carlo_effective_gain,
+    )
+
     scenario = _scenario_from_args(args)
     geom = scenario.geometry()
     if geom is None:

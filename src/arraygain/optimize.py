@@ -20,6 +20,7 @@ for the largest compliant element count.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -73,6 +74,17 @@ class OptimizationResult:
             raise ValueError("integer-geometry gain exceeds the budget-level bound")
 
 
+def _check_budget(n_elements: int) -> None:
+    if n_elements < 1:
+        raise ValueError(f"n_elements must be >= 1, got {n_elements!r}")
+    # the gain arithmetic runs in floats; a budget past their range would
+    # otherwise fail deep inside it as an OverflowError
+    if n_elements > sys.float_info.max:
+        raise ValueError(
+            f"n_elements must be at most {sys.float_info.max:.6g}, got a larger integer"
+        )
+
+
 def gain_upper_bound(
     n_elements: int, element: ElementPattern, spread: AngularSpread
 ) -> float:
@@ -91,8 +103,7 @@ def gain_upper_bound(
         2 / (asd * zsd + bw_elev * bw_azim / N), linear.  At zero spread
         this collapses to N times the element gain.
     """
-    if n_elements < 1:
-        raise ValueError(f"n_elements must be >= 1, got {n_elements!r}")
+    _check_budget(n_elements)
     return _upper_bound(n_elements, element, spread)
 
 
@@ -111,8 +122,7 @@ def optimal_geometry_continuous(
         no finite solution there.  Use :func:`optimal_geometry_integer`,
         whose scan handles the degenerate axis naturally.
     """
-    if n_elements < 1:
-        raise ValueError(f"n_elements must be >= 1, got {n_elements!r}")
+    _check_budget(n_elements)
     if spread.asd_rad == 0.0 or spread.zsd_rad == 0.0:
         raise DegenerateSpreadError(
             "degenerate spread: closed-form geometry needs both spreads > 0"
@@ -207,8 +217,7 @@ def optimal_geometry_integer(
         The winner, its gain report, the budget-level bound, and the
         continuous solution (None when either spread is zero).
     """
-    if n_elements < 1:
-        raise ValueError(f"n_elements must be >= 1, got {n_elements!r}")
+    _check_budget(n_elements)
     continuous = None
     if spread.asd_rad > 0.0 and spread.zsd_rad > 0.0:
         continuous = optimal_geometry_continuous(n_elements, element, spread)

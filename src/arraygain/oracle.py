@@ -9,8 +9,9 @@ Three oracles, each independent of the analytic shortcut it validates:
   phase-sum the per-path amplitudes, and average received power over
   realizations;
 * physical array factor: compute the true half-wavelength ULA pattern
-  |sum exp(j pi m u)|^2 and measure how fast its main lobe narrows with
-  element count, which is what the 1/k beamwidth rule asserts.
+  |sum exp(j pi m u)|^2 (in its Dirichlet-kernel closed form) and
+  measure how fast its main lobe narrows with element count, which is
+  what the 1/k beamwidth rule asserts.
 
 Everything here is deterministic: grids are pure functions of their
 inputs and the Monte-Carlo draws come from a counter-based generator
@@ -126,8 +127,8 @@ def grid_for(
 class SampledPattern:
     """Separable power pattern on a grid: peak value times two unit-peak
     1-D profiles.  Storing factors instead of the full 2-D table keeps
-    convolution O(n) per axis; :attr:`values` materializes the product
-    when a caller wants the grid.  Arrays are treated as immutable.
+    convolution O(n) per axis and memory O(n_elev + n_azim).  Arrays are
+    treated as immutable.
     """
 
     grid: AngularGrid
@@ -146,11 +147,6 @@ class SampledPattern:
                 raise ValueError(f"{name} must be 1-D with {count} samples")
             if shape.min() < 0.0 or abs(shape.max() - 1.0) > 1e-12:
                 raise ValueError(f"{name} must be non-negative with unit peak")
-
-    @property
-    def values(self) -> np.ndarray:
-        """Full (n_elev, n_azim) power table."""
-        return self.peak_power * np.outer(self.elev_shape, self.azim_shape)
 
     @property
     def total_power(self) -> float:
@@ -202,11 +198,7 @@ def _circular_blur(shape: np.ndarray, spacing: float, sigma: float) -> np.ndarra
     return np.maximum(out, 0.0)
 
 
-def convolve_effective_pattern(
-    nominal: SampledPattern,
-    spread: AngularSpread,
-    grid: AngularGrid | None = None,
-) -> SampledPattern:
+def convolve_effective_pattern(nominal: SampledPattern, spread: AngularSpread) -> SampledPattern:
     """Effective pattern by per-axis circular convolution with the spread.
 
     Azimuth wraps over the full circle, which is the physical topology;
@@ -218,9 +210,6 @@ def convolve_effective_pattern(
     ----------
     nominal : SampledPattern
     spread : AngularSpread
-    grid : AngularGrid, optional
-        Must be the nominal pattern's grid when given; the parameter
-        exists so call sites can be explicit about it.
 
     Raises
     ------
@@ -228,8 +217,6 @@ def convolve_effective_pattern(
         If a nonzero spread is finer than twice the grid spacing on its
         axis (the kernel would alias down to a near-delta).
     """
-    if grid is not None and grid != nominal.grid:
-        raise ValueError("grid does not match the nominal pattern's grid")
     grid = nominal.grid
     if spread.is_zero:
         return nominal
@@ -361,11 +348,23 @@ def _main_lobe_width(power: np.ndarray, du: float) -> float:
     return float(lobe.sum()) * du / math.sqrt(2.0 * math.pi)
 
 
+def _array_factor_power(k: int, u: np.ndarray) -> np.ndarray:
+    # |sum_{m<k} exp(j pi m u)|^2 / k^2 = sin^2(k pi u / 2) / (k^2 sin^2(pi u / 2)),
+    # O(n) whatever k is; the 0/0 at u = 0 is the unit peak
+    half = 0.5 * math.pi * u
+    denom = k * np.sin(half)
+    power = np.ones_like(u)
+    off_peak = denom != 0.0
+    power[off_peak] = (np.sin(k * half[off_peak]) / denom[off_peak]) ** 2
+    return power
+
+
 def upa_array_factor_beamwidth(k_elements_along_axis: int, n_samples: int = 200_001) -> float:
     """Main-lobe width ratio of a k-element half-wavelength ULA vs one element.
 
     Evaluates the physical broadside array factor
-    |sum_{m=0}^{k-1} exp(j pi m u)|^2 / k^2 on a fine grid of
+    |sum_{m=0}^{k-1} exp(j pi m u)|^2 / k^2, in its closed form
+    sin^2(k pi u / 2) / (k^2 sin^2(pi u / 2)), on a fine grid of
     u = sin(theta) over [-1, 1], measures the main lobe's
     area-equivalent RMS width, and divides by the same measurement for a
     single element.  The Gaussian model's claim is that this ratio is
@@ -386,15 +385,11 @@ def upa_array_factor_beamwidth(k_elements_along_axis: int, n_samples: int = 200_
         raise ValueError(f"n_samples must be >= 1001, got {n_samples!r}")
     if n_samples % 2 == 0:
         n_samples += 1
-    u = np.linspace(-1.0, 1.0, n_samples)
-    du = u[1] - u[0]
-
-    def width(count: int) -> float:
-        total = np.zeros(n_samples, dtype=complex)
-        for m in range(count):
-            total += np.exp(1j * math.pi * m * u)
-        return _main_lobe_width(np.abs(total) ** 2 / count**2, du)
-
     if k == 1:
         return 1.0
-    return width(k) / width(1)
+    u = np.linspace(-1.0, 1.0, n_samples)
+    du = u[1] - u[0]
+    # one element's pattern is flat, so its lobe is the whole grid and
+    # _main_lobe_width reduces to this
+    single = n_samples * du / math.sqrt(2.0 * math.pi)
+    return _main_lobe_width(_array_factor_power(k, u), du) / single

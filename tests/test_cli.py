@@ -310,6 +310,17 @@ def test_eirp_error():
     assert result.stderr.startswith("error[eirp]: EIRP below single-element emission")
 
 
+def test_budget_beyond_float_range_is_an_input_error():
+    for command in ("optimize", "sweep"):
+        result = _run(
+            command, "--elements", "1" + "0" * 400, "--element-gain-dbi", "5",
+            "--asd-deg", "22", "--zsd-deg", "5",
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error[input]: n_elements must be at most ")
+
+
 def test_scenario_error():
     result = _run("optimize", "--elements", "16")
     assert result.returncode == 1
@@ -321,3 +332,67 @@ def test_help_exits_zero():
     assert result.returncode == 0
     for name in ("optimize", "sweep", "estimate", "validate"):
         assert name in result.stdout
+
+
+# --- imports ------------------------------------------------------------
+
+# runs the CLI in a child where any import of numpy fails
+_WITHOUT_NUMPY = (
+    "import sys\n"
+    "sys.modules['numpy'] = None\n"
+    "from arraygain import cli\n"
+    "raise SystemExit(cli.main(sys.argv[1:]))\n"
+)
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, arraygain.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
+
+
+def test_planning_subcommands_run_without_numpy(tmp_path):
+    csv = tmp_path / "m.csv"
+    _forward_csv(csv, zsd_sq=0.0009, asd_sq=0.04)
+    for args in (
+        ("optimize", "--elements", "256", "--element-gain-dbi", "5",
+         "--asd-deg", "22", "--zsd-deg", "5"),
+        ("sweep", "--elements", "64", "--element-gain-dbi", "5",
+         "--asd-deg", "14", "--zsd-deg", "0.6", "--geometries", "all"),
+        ("estimate", str(csv), "--element-gain-dbi", "5", "--predict", "16", "16"),
+    ):
+        normal = _run(*args, binary=True)
+        bare = subprocess.run(
+            [sys.executable, "-c", _WITHOUT_NUMPY, *args], capture_output=True, timeout=300
+        )
+        assert normal.returncode == 0
+        assert bare.returncode == 0, bare.stderr
+        assert bare.stdout == normal.stdout
+
+    # the child really has no numpy: validate, which needs it, fails there
+    validate = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, "validate", "--element-gain-dbi", "5",
+         "--rows", "4", "--cols", "4"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert validate.returncode == 2
+    assert "numpy" in validate.stderr
+
+
+def test_oracle_names_resolve_lazily():
+    import arraygain
+    from arraygain import oracle
+
+    lazy = (
+        "AngularGrid", "McConfig", "SampledPattern", "convolve_effective_pattern",
+        "fitted_rms_widths", "gaussian_pattern_sampled", "grid_for",
+        "monte_carlo_effective_gain", "upa_array_factor_beamwidth",
+    )
+    for name in lazy:
+        assert name in arraygain.__all__
+        assert getattr(arraygain, name) is getattr(oracle, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(arraygain, "no_such_name")

