@@ -26,11 +26,8 @@ from __future__ import annotations
 from .beam import (
     AngularSpread,
     ArrayGeometry,
-    BeamPattern,
     ElementPattern,
     GainReport,
-    directional_gain,
-    effective_beamwidths,
     effective_gain,
     effective_gain_value,
     element_pattern_from_gain,
@@ -97,7 +94,6 @@ __all__ = [
     "AngularSpread",
     "ArrayGainError",
     "ArrayGeometry",
-    "BeamPattern",
     "ContinuousGeometry",
     "DegenerateElementError",
     "DegenerateSpreadError",
@@ -118,8 +114,6 @@ __all__ = [
     "SubArrayGain",
     "UnidentifiableSpreadError",
     "convolve_effective_pattern",
-    "directional_gain",
-    "effective_beamwidths",
     "effective_gain",
     "effective_gain_value",
     "element_pattern_from_gain",

@@ -1,4 +1,4 @@
-"""Gaussian beam model: directional gain and spread-widened beamwidths.
+"""Gaussian beam model: one beam type and one gain path.
 
 A single beam is modeled as a separable Gaussian power pattern
 
@@ -7,14 +7,17 @@ A single beam is modeled as a separable Gaussian power pattern
                     * exp(-theta**2 / (2 * bw_elev**2))
 
 whose peak, the directional gain, is the peak-to-average power ratio
-2 / (bw_azim * bw_elev).  A rows x cols planar array of identical
-elements at half-wavelength spacing narrows each element beamwidth by
-the element count along that axis.  Multipath angular spread convolves
-the pattern with the channel's own Gaussian spectrum, so the effective
-beamwidth per axis is the root-sum-square of the nominal beamwidth and
-the spread, and effective gain always sits at or below both the nominal
-gain and the budget-level upper bound computed in
-:mod:`arraygain.optimize`.
+2 / (bw_azim * bw_elev).  :class:`ElementPattern` holds the two RMS
+widths of any such beam: an element's, an array's nominal beam, or a
+beam fitted to a sampled pattern.  A rows x cols planar array of
+identical elements at half-wavelength spacing narrows each element
+beamwidth by the element count along that axis.  Multipath angular
+spread convolves the pattern with the channel's own Gaussian spectrum,
+so the effective beamwidth per axis is the root-sum-square of the
+nominal beamwidth and the spread.  That widening is computed in one
+place, :func:`effective_gain_value`, and :func:`effective_gain` reports
+it.  The effective gain always sits at or below both the nominal gain
+and the budget-level upper bound computed in :mod:`arraygain.optimize`.
 
 All beamwidths and spreads are RMS values in radians.  Gains are linear
 power ratios unless a name ends in ``_dbi``.
@@ -23,9 +26,10 @@ power ratios unless a name ends in ``_dbi``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .errors import DegenerateElementError
+from .errors import DegenerateElementError, check_positive_int
 from .units import db_to_linear, linear_to_db
 
 _REL_TOL = 1e-12
@@ -33,7 +37,13 @@ _REL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ElementPattern:
-    """RMS beamwidths of one array element, radians.
+    """RMS beamwidths of a Gaussian beam, radians.
+
+    The beam may be one array element's, a whole array's nominal beam
+    (:func:`nominal_beamwidths`) or one fitted to a sampled pattern
+    (:func:`arraygain.oracle.fitted_rms_widths`).  Widths whose gain
+    2 / (bw_elev * bw_azim) is beyond float range raise
+    :class:`DegenerateElementError`, like widths that are not > 0.
 
     Attributes
     ----------
@@ -50,6 +60,12 @@ class ElementPattern:
         for name, value in (("bw_elev_rad", self.bw_elev_rad), ("bw_azim_rad", self.bw_azim_rad)):
             if not (math.isfinite(value) and value > 0.0):
                 raise DegenerateElementError(f"degenerate element: {name} = {value!r}")
+        product = self.bw_elev_rad * self.bw_azim_rad
+        if product == 0.0 or 2.0 / product == math.inf:
+            raise DegenerateElementError(
+                "degenerate element: gain beyond float range at "
+                f"{self.bw_elev_rad!r} x {self.bw_azim_rad!r} rad"
+            )
 
     @property
     def gain_linear(self) -> float:
@@ -65,9 +81,8 @@ class ArrayGeometry:
     cols: int
 
     def __post_init__(self) -> None:
-        for name, value in (("rows", self.rows), ("cols", self.cols)):
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        check_positive_int("rows", self.rows)
+        check_positive_int("cols", self.cols)
 
     @property
     def n_elements(self) -> int:
@@ -89,19 +104,6 @@ class AngularSpread:
     @property
     def is_zero(self) -> bool:
         return self.zsd_rad == 0.0 and self.asd_rad == 0.0
-
-
-@dataclass(frozen=True)
-class BeamPattern:
-    """RMS beamwidths of a whole-array beam (nominal or effective), radians."""
-
-    bw_elev_rad: float
-    bw_azim_rad: float
-
-    def __post_init__(self) -> None:
-        for name, value in (("bw_elev_rad", self.bw_elev_rad), ("bw_azim_rad", self.bw_azim_rad)):
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -174,7 +176,7 @@ def element_pattern_from_gain(gain_dbi: float) -> ElementPattern:
     return ElementPattern(bw_elev_rad=bw, bw_azim_rad=bw)
 
 
-def nominal_beamwidths(element: ElementPattern, geom: ArrayGeometry) -> BeamPattern:
+def nominal_beamwidths(element: ElementPattern, geom: ArrayGeometry) -> ElementPattern:
     """Free-space beam of the full array: each axis narrows by its element count.
 
     Parameters
@@ -184,37 +186,28 @@ def nominal_beamwidths(element: ElementPattern, geom: ArrayGeometry) -> BeamPatt
 
     Returns
     -------
-    BeamPattern
+    ElementPattern
         bw_elev / rows in elevation, bw_azim / cols in azimuth.
     """
-    return BeamPattern(
+    return ElementPattern(
         bw_elev_rad=element.bw_elev_rad / geom.rows,
         bw_azim_rad=element.bw_azim_rad / geom.cols,
     )
 
 
-def directional_gain(pattern: BeamPattern) -> float:
-    """Peak-to-average power ratio of a Gaussian beam: 2 / (bw_azim * bw_elev).
-
-    Examples
-    --------
-    >>> directional_gain(BeamPattern(1.0, 2.0))
-    1.0
-    """
-    return 2.0 / (pattern.bw_azim_rad * pattern.bw_elev_rad)
-
-
-def effective_beamwidths(nominal: BeamPattern, spread: AngularSpread) -> BeamPattern:
-    """Widen a nominal beam by the channel spread, root-sum-square per axis.
-
-    Convolving a Gaussian beam with a Gaussian angular spectrum adds
-    variances, so each axis widens to hypot(beamwidth, spread).  Zero
-    spread returns the nominal widths unchanged (exactly).
-    """
-    return BeamPattern(
-        bw_elev_rad=math.hypot(nominal.bw_elev_rad, spread.zsd_rad),
-        bw_azim_rad=math.hypot(nominal.bw_azim_rad, spread.asd_rad),
-    )
+def _check_array_gain(n_elements: int, element: ElementPattern) -> None:
+    # N * G_e is the gain at zero spread and bounds every gain of an array
+    # of at most N elements, so past this check none overflows
+    try:
+        overflows = n_elements * element.gain_linear == math.inf
+    except OverflowError:
+        raise ValueError(
+            f"n_elements must be at most {sys.float_info.max:.6g}, got a larger integer"
+        ) from None
+    if overflows:
+        raise ValueError(
+            f"array gain beyond float range: {n_elements} elements x {element.gain_linear:.6g}"
+        )
 
 
 def _upper_bound(n_elements: float, element: ElementPattern, spread: AngularSpread) -> float:
@@ -232,9 +225,11 @@ def effective_gain_value(
 ) -> float:
     """Effective gain for possibly non-integer element counts.
 
-    Same math as :func:`effective_gain` but takes real-valued rows/cols
-    and returns just the linear gain.  Used to evaluate the continuous
-    optimum, the integer scan with its envelope, and sweep rows.
+    Each axis widens to hypot(element beamwidth / count, spread), and the
+    gain is 2 / (product of the widths).  Takes real-valued rows/cols and
+    returns just the linear gain.  Used by :func:`effective_gain` and to
+    evaluate the continuous optimum, the integer scan with its envelope,
+    and sweep rows.
     """
     if rows <= 0.0 or cols <= 0.0:
         raise ValueError("rows and cols must be positive")
@@ -248,9 +243,10 @@ def effective_gain(
 ) -> GainReport:
     """Full gain report for one geometry under one channel spread.
 
-    Composes nominal_beamwidths, effective_beamwidths and
-    directional_gain, and attaches the element-budget upper bound at
-    N = rows * cols.
+    The nominal gain is the gain at zero spread, the effective gain is
+    :func:`effective_gain_value` at ``spread``, and the bound is the
+    element-budget upper bound at N = rows * cols.  An array whose
+    nominal gain N * G_e is beyond float range raises ValueError.
 
     Parameters
     ----------
@@ -263,10 +259,11 @@ def effective_gain(
     GainReport
         Nominal, effective and bound gains, linear and dBi.
     """
-    nominal = nominal_beamwidths(element, geom)
-    widened = effective_beamwidths(nominal, spread)
+    _check_array_gain(geom.n_elements, element)
     return GainReport.from_linear(
-        nominal=directional_gain(nominal),
-        effective=directional_gain(widened),
+        # hypot(x, 0) is exactly x, so this is effective_gain_value at zero
+        # spread; building the beam rejects a width that underflows to 0
+        nominal=nominal_beamwidths(element, geom).gain_linear,
+        effective=effective_gain_value(element, geom.rows, geom.cols, spread),
         bound=_upper_bound(geom.n_elements, element, spread),
     )

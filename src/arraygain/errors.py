@@ -1,6 +1,21 @@
-"""Domain error types, each carrying a short code for CLI error lines."""
+"""Domain error types, each carrying a short code for CLI error lines,
+and the two argument checks every module shares."""
 
 from __future__ import annotations
+
+import math
+
+
+def check_positive_int(name: str, value) -> None:
+    """Reject anything but an int >= 1 (bool included)."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
+def check_positive_float(name: str, value: float) -> None:
+    """Reject anything but a finite number > 0."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 class ArrayGainError(ValueError):

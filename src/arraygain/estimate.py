@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from .beam import AngularSpread, ElementPattern
 from .errors import IndeterminatePairError, InvalidPairError, UnidentifiableSpreadError
+from .errors import check_positive_float, check_positive_int
 
 _RATIO_TOL = 1e-12
 
@@ -40,11 +41,9 @@ class SubArrayGain:
     gain_linear: float
 
     def __post_init__(self) -> None:
-        for name, value in (("rows", self.rows), ("cols", self.cols)):
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if not (math.isfinite(self.gain_linear) and self.gain_linear > 0.0):
-            raise ValueError(f"gain_linear must be finite and > 0, got {self.gain_linear!r}")
+        check_positive_int("rows", self.rows)
+        check_positive_int("cols", self.cols)
+        check_positive_float("gain_linear", self.gain_linear)
 
 
 @dataclass(frozen=True)
@@ -213,9 +212,8 @@ def predict_subarray_gain(
     at zero estimated spread this reduces to the aperture product law
     (m1 * m2) / (n1 * k1).
     """
-    for name, value in (("target_rows", target_rows), ("target_cols", target_cols)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    check_positive_int("target_rows", target_rows)
+    check_positive_int("target_cols", target_cols)
     z = estimate.zsd_over_bve_sq
     a = estimate.asd_over_bhe_sq
     scale = (

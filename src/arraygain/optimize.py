@@ -20,22 +20,21 @@ for the largest compliant element count.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .beam import (
+    _REL_TOL,
     AngularSpread,
     ArrayGeometry,
     ElementPattern,
     GainReport,
+    _check_array_gain,
     _upper_bound,
     effective_gain,
     effective_gain_value,
 )
-from .errors import DegenerateSpreadError, EirpTooLowError
-
-_REL_TOL = 1e-12
+from .errors import DegenerateSpreadError, EirpTooLowError, check_positive_float
 
 
 @dataclass(frozen=True)
@@ -50,9 +49,8 @@ class ContinuousGeometry:
     cols_real: float
 
     def __post_init__(self) -> None:
-        for name, value in (("rows_real", self.rows_real), ("cols_real", self.cols_real)):
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        check_positive_float("rows_real", self.rows_real)
+        check_positive_float("cols_real", self.cols_real)
 
     @property
     def n_elements(self) -> float:
@@ -74,15 +72,12 @@ class OptimizationResult:
             raise ValueError("integer-geometry gain exceeds the budget-level bound")
 
 
-def _check_budget(n_elements: int) -> None:
+def _check_budget(n_elements: int, element: ElementPattern) -> None:
     if n_elements < 1:
         raise ValueError(f"n_elements must be >= 1, got {n_elements!r}")
     # the gain arithmetic runs in floats; a budget past their range would
-    # otherwise fail deep inside it as an OverflowError
-    if n_elements > sys.float_info.max:
-        raise ValueError(
-            f"n_elements must be at most {sys.float_info.max:.6g}, got a larger integer"
-        )
+    # otherwise fail deep inside it as an OverflowError or an inf
+    _check_array_gain(n_elements, element)
 
 
 def gain_upper_bound(
@@ -103,7 +98,7 @@ def gain_upper_bound(
         2 / (asd * zsd + bw_elev * bw_azim / N), linear.  At zero spread
         this collapses to N times the element gain.
     """
-    _check_budget(n_elements)
+    _check_budget(n_elements, element)
     return _upper_bound(n_elements, element, spread)
 
 
@@ -122,7 +117,7 @@ def optimal_geometry_continuous(
         no finite solution there.  Use :func:`optimal_geometry_integer`,
         whose scan handles the degenerate axis naturally.
     """
-    _check_budget(n_elements)
+    _check_budget(n_elements, element)
     if spread.asd_rad == 0.0 or spread.zsd_rad == 0.0:
         raise DegenerateSpreadError(
             "degenerate spread: closed-form geometry needs both spreads > 0"
@@ -217,7 +212,7 @@ def optimal_geometry_integer(
         The winner, its gain report, the budget-level bound, and the
         continuous solution (None when either spread is zero).
     """
-    _check_budget(n_elements)
+    _check_budget(n_elements, element)
     continuous = None
     if spread.asd_rad > 0.0 and spread.zsd_rad > 0.0:
         continuous = optimal_geometry_continuous(n_elements, element, spread)
@@ -264,6 +259,8 @@ def max_elements_for_eirp(
     ------
     EirpTooLowError
         If even a single element would exceed the cap.
+    ValueError
+        If the cap allows an element count beyond float range.
     """
     for name, value in (
         ("eirp_dbm", eirp_dbm),
@@ -272,7 +269,11 @@ def max_elements_for_eirp(
     ):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
-    n = math.floor(10.0 ** ((eirp_dbm - per_element_power_dbm - element_gain_dbi) / 20.0))
+    headroom_db = eirp_dbm - per_element_power_dbm - element_gain_dbi
+    try:
+        n = math.floor(10.0 ** (headroom_db / 20.0))
+    except OverflowError:
+        raise ValueError(f"EIRP headroom {headroom_db:.6g} dB is beyond float range") from None
     if n < 1:
         raise EirpTooLowError("EIRP below single-element emission")
     return n

@@ -25,15 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beam import (
-    AngularSpread,
-    ArrayGeometry,
-    BeamPattern,
-    ElementPattern,
-    directional_gain,
-    nominal_beamwidths,
-)
-from .errors import GridResolutionError
+from .beam import AngularSpread, ArrayGeometry, ElementPattern, nominal_beamwidths
+from .errors import GridResolutionError, check_positive_float, check_positive_int
 
 _DEG = math.pi / 180.0
 _DEFAULT_SPACING_RAD = 0.05 * _DEG
@@ -67,10 +60,7 @@ class AngularGrid:
                 raise ValueError(f"{name} must be an integer >= 2, got {value!r}")
             if value % 2:
                 raise ValueError(f"{name} must be even so 0 is on the grid, got {value}")
-        if not (math.isfinite(self.elev_half_span_rad) and self.elev_half_span_rad > 0.0):
-            raise ValueError(
-                f"elev_half_span_rad must be finite and > 0, got {self.elev_half_span_rad!r}"
-            )
+        check_positive_float("elev_half_span_rad", self.elev_half_span_rad)
 
     @property
     def azim_spacing(self) -> float:
@@ -103,9 +93,8 @@ def grid_for(
     too narrow for the capped spacing fail the resolution check at
     evaluation time rather than here.
     """
-    for name, value in (("bw_elev_rad", bw_elev_rad), ("bw_azim_rad", bw_azim_rad)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    check_positive_float("bw_elev_rad", bw_elev_rad)
+    check_positive_float("bw_azim_rad", bw_azim_rad)
     zsd = spread.zsd_rad if spread is not None else 0.0
     asd = spread.asd_rad if spread is not None else 0.0
 
@@ -137,8 +126,7 @@ class SampledPattern:
     azim_shape: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.peak_power) and self.peak_power > 0.0):
-            raise ValueError(f"peak_power must be finite and > 0, got {self.peak_power!r}")
+        check_positive_float("peak_power", self.peak_power)
         for name, shape, count in (
             ("elev_shape", self.elev_shape, self.grid.n_elev),
             ("azim_shape", self.azim_shape, self.grid.n_azim),
@@ -169,9 +157,8 @@ def gaussian_pattern_sampled(
         If either grid spacing exceeds beamwidth / 8; a Gaussian needs
         several samples per sigma or its peak and integral go wrong.
     """
-    for name, value in (("bw_elev_rad", bw_elev_rad), ("bw_azim_rad", bw_azim_rad)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    check_positive_float("bw_elev_rad", bw_elev_rad)
+    check_positive_float("bw_azim_rad", bw_azim_rad)
     if grid.elev_spacing > bw_elev_rad / 8.0 or grid.azim_spacing > bw_azim_rad / 8.0:
         raise GridResolutionError(
             "grid too coarse: spacing (%.4g, %.4g) rad exceeds beamwidth/8 (%.4g, %.4g) rad"
@@ -247,7 +234,7 @@ def convolve_effective_pattern(nominal: SampledPattern, spread: AngularSpread) -
     )
 
 
-def fitted_rms_widths(pattern: SampledPattern) -> BeamPattern:
+def fitted_rms_widths(pattern: SampledPattern) -> ElementPattern:
     """RMS widths of a sampled pattern from its weighted second moments.
 
     For a Gaussian profile this recovers the sigma parameter, so on a
@@ -257,7 +244,7 @@ def fitted_rms_widths(pattern: SampledPattern) -> BeamPattern:
     azim_x = pattern.grid.azim_samples()
     elev_w = pattern.elev_shape
     azim_w = pattern.azim_shape
-    return BeamPattern(
+    return ElementPattern(
         bw_elev_rad=math.sqrt(float((elev_w * elev_x**2).sum() / elev_w.sum())),
         bw_azim_rad=math.sqrt(float((azim_w * azim_x**2).sum() / azim_w.sum())),
     )
@@ -273,9 +260,8 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, value in (("n_paths", self.n_paths), ("n_realizations", self.n_realizations)):
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        check_positive_int("n_paths", self.n_paths)
+        check_positive_int("n_realizations", self.n_realizations)
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not (
             0 <= self.seed < 2**64
         ):
@@ -313,7 +299,7 @@ def monte_carlo_effective_gain(
     """
     nominal = nominal_beamwidths(element, geom)
     bw_elev, bw_azim = nominal.bw_elev_rad, nominal.bw_azim_rad
-    gain0 = directional_gain(nominal)
+    gain0 = nominal.gain_linear
 
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     shape = (config.n_realizations, config.n_paths)
@@ -378,9 +364,8 @@ def upa_array_factor_beamwidth(k_elements_along_axis: int, n_samples: int = 200_
     n_samples : int
         Grid resolution; forced odd so u = 0 is a sample.
     """
+    check_positive_int("k_elements_along_axis", k_elements_along_axis)
     k = k_elements_along_axis
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"k_elements_along_axis must be a positive integer, got {k!r}")
     if n_samples < 1001:
         raise ValueError(f"n_samples must be >= 1001, got {n_samples!r}")
     if n_samples % 2 == 0:

@@ -14,10 +14,10 @@ Measurement CSVs carry raw sub-array power logs with the header
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .beam import AngularSpread, ArrayGeometry, ElementPattern, element_pattern_from_gain
-from .errors import MeasurementError, ScenarioError
+from .errors import MeasurementError, ScenarioError, check_positive_int
 from .optimize import max_elements_for_eirp
 from .units import linear_to_db
 
@@ -219,11 +219,6 @@ def parse_scenario_file(path: str) -> Scenario:
     return Scenario(**read_scenario_values(path))
 
 
-def scenario_values(scenario: Scenario) -> dict:
-    """Field dict of a Scenario, for merge-then-rebuild workflows."""
-    return {f.name: getattr(scenario, f.name) for f in fields(scenario)}
-
-
 @dataclass(frozen=True)
 class MeasurementRecord:
     """One sub-array power log entry."""
@@ -234,10 +229,8 @@ class MeasurementRecord:
     rx_power_dbm: float
 
     def __post_init__(self) -> None:
-        for name in ("rows", "cols"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        check_positive_int("rows", self.rows)
+        check_positive_int("cols", self.cols)
         for name in ("tx_power_dbm", "rx_power_dbm"):
             value = getattr(self, name)
             if not math.isfinite(value):

@@ -32,7 +32,6 @@ from arraygain import (
     McConfig,
     SubArrayGain,
     convolve_effective_pattern,
-    directional_gain,
     effective_gain,
     effective_gain_value,
     element_pattern_from_gain,
@@ -145,7 +144,7 @@ def test_geometry_gain_deltas(capsys):
 def test_nominal_gain(capsys):
     element = element_pattern_from_gain(5.0)
     beam = nominal_beamwidths(element, ArrayGeometry(16, 16))
-    gain_dbi = 10.0 * math.log10(directional_gain(beam))
+    gain_dbi = 10.0 * math.log10(beam.gain_linear)
     ok = abs(gain_dbi - 29.08) <= 0.05
     _verdict(capsys, "nominal-gain", ok, f"256 x 5 dBi = {gain_dbi:.4f} dBi")
 

@@ -7,7 +7,8 @@ Groups:
   4. directional and effective gain, including the two reference points
      (8 dBi element, 16 deg / 1 deg spread) at 19.91 and 24.31 dBi
   5. randomized invariants: monotonicity, widening, zero-spread
-     consistency, effective <= min(nominal, bound)
+     consistency, effective <= min(nominal, bound), and the report
+     bit for bit against a composition kept here as the reference
 """
 
 from __future__ import annotations
@@ -20,12 +21,9 @@ import pytest
 from arraygain import (
     AngularSpread,
     ArrayGeometry,
-    BeamPattern,
     DegenerateElementError,
     ElementPattern,
     GainReport,
-    directional_gain,
-    effective_beamwidths,
     effective_gain,
     effective_gain_value,
     element_pattern_from_gain,
@@ -37,6 +35,24 @@ def _spread_deg(zsd: float, asd: float) -> AngularSpread:
     return AngularSpread(zsd_rad=math.radians(zsd), asd_rad=math.radians(asd))
 
 
+def _reference_gains(element, geom, spread):
+    # nominal widths -> hypot widening -> 2 / (product), written out apart
+    # from the package's one gain path
+    nominal_elev = element.bw_elev_rad / geom.rows
+    nominal_azim = element.bw_azim_rad / geom.cols
+    widened_elev = math.hypot(nominal_elev, spread.zsd_rad)
+    widened_azim = math.hypot(nominal_azim, spread.asd_rad)
+    bound = 2.0 / (
+        spread.asd_rad * spread.zsd_rad
+        + element.bw_elev_rad * element.bw_azim_rad / geom.n_elements
+    )
+    return (
+        2.0 / (nominal_azim * nominal_elev),
+        2.0 / (widened_azim * widened_elev),
+        bound,
+    )
+
+
 # --- 1. type validation -------------------------------------------------
 
 def test_element_pattern_rejects_bad_widths():
@@ -46,6 +62,11 @@ def test_element_pattern_rejects_bad_widths():
         ElementPattern(bw_elev_rad=1.0, bw_azim_rad=-0.5)
     with pytest.raises(DegenerateElementError):
         ElementPattern(bw_elev_rad=math.nan, bw_azim_rad=1.0)
+    # each width is fine, but the product underflows or 2 / product overflows
+    for elev, azim in [(1e-200, 1e-200), (1e-160, 1e-160), (1e-300, 1e-9)]:
+        with pytest.raises(DegenerateElementError, match="beyond float range"):
+            ElementPattern(bw_elev_rad=elev, bw_azim_rad=azim)
+    assert ElementPattern(bw_elev_rad=1e-150, bw_azim_rad=1e-150).gain_linear == pytest.approx(2e300)
 
 
 def test_geometry_requires_positive_integers():
@@ -62,11 +83,6 @@ def test_spread_rejects_negative_or_nonfinite():
         AngularSpread(zsd_rad=-0.1, asd_rad=0.0)
     with pytest.raises(ValueError):
         AngularSpread(zsd_rad=0.0, asd_rad=math.inf)
-
-
-def test_beam_pattern_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        BeamPattern(bw_elev_rad=0.0, bw_azim_rad=1.0)
 
 
 def test_gain_report_orderings_enforced():
@@ -112,7 +128,7 @@ def test_element_gain_round_trip():
 
 def test_nominal_beamwidths_divide_by_counts():
     unit = ElementPattern(bw_elev_rad=1.0, bw_azim_rad=1.0)
-    assert nominal_beamwidths(unit, ArrayGeometry(1, 1)) == BeamPattern(1.0, 1.0)
+    assert nominal_beamwidths(unit, ArrayGeometry(1, 1)) == ElementPattern(1.0, 1.0)
 
     five = element_pattern_from_gain(5.0)
     beam = nominal_beamwidths(five, ArrayGeometry(16, 16))
@@ -125,31 +141,24 @@ def test_nominal_beamwidths_divide_by_counts():
     assert beam.bw_azim_rad == pytest.approx(0.035188, abs=5e-7)
 
 
-def test_effective_beamwidths_zero_spread_is_identity():
-    nominal = BeamPattern(bw_elev_rad=0.07, bw_azim_rad=0.035)
-    widened = effective_beamwidths(nominal, AngularSpread(0.0, 0.0))
-    assert widened.bw_elev_rad == nominal.bw_elev_rad
-    assert widened.bw_azim_rad == nominal.bw_azim_rad
-
-
 def test_effective_beamwidths_pythagorean():
-    widened = effective_beamwidths(BeamPattern(3.0, 4.0), AngularSpread(zsd_rad=4.0, asd_rad=3.0))
-    assert widened.bw_elev_rad == 5.0
-    assert widened.bw_azim_rad == 5.0
+    # each axis widens to hypot(3, 4) = hypot(4, 3) = 5
+    gain = effective_gain_value(ElementPattern(3.0, 4.0), 1, 1, AngularSpread(4.0, 3.0))
+    assert gain == 2.0 / 25.0
 
 
 # --- 4. gains -----------------------------------------------------------
 
 def test_directional_gain_basics():
-    assert directional_gain(BeamPattern(1.0, 2.0)) == 1.0
+    assert ElementPattern(1.0, 2.0).gain_linear == 1.0
     sqrt2 = math.sqrt(2.0)
-    assert directional_gain(BeamPattern(sqrt2, sqrt2)) == pytest.approx(1.0, rel=1e-15)
+    assert ElementPattern(sqrt2, sqrt2).gain_linear == pytest.approx(1.0, rel=1e-15)
 
 
 def test_nominal_gain_256_elements_5dbi():
     five = element_pattern_from_gain(5.0)
     beam = nominal_beamwidths(five, ArrayGeometry(32, 8))
-    assert 10.0 * math.log10(directional_gain(beam)) == pytest.approx(29.08, abs=0.05)
+    assert 10.0 * math.log10(beam.gain_linear) == pytest.approx(29.08, abs=0.05)
 
 
 def test_reference_effective_gains():
@@ -220,11 +229,12 @@ def test_random_orderings_and_widening():
             zsd_rad=float(rng.uniform(0.0, 0.6)), asd_rad=float(rng.uniform(0.0, 0.6))
         )
         nominal = nominal_beamwidths(element, geom)
-        widened = effective_beamwidths(nominal, spread)
-        assert widened.bw_elev_rad >= nominal.bw_elev_rad
-        assert widened.bw_azim_rad >= nominal.bw_azim_rad
+        widened_elev = math.hypot(nominal.bw_elev_rad, spread.zsd_rad)
+        widened_azim = math.hypot(nominal.bw_azim_rad, spread.asd_rad)
+        assert widened_elev >= nominal.bw_elev_rad
+        assert widened_azim >= nominal.bw_azim_rad
         if spread.zsd_rad == 0.0:
-            assert widened.bw_elev_rad == nominal.bw_elev_rad
+            assert widened_elev == nominal.bw_elev_rad
         report = effective_gain(element, geom, spread)
         tol = 1.0 + 1e-12
         assert report.effective_gain_linear <= report.nominal_gain_linear * tol
@@ -242,5 +252,40 @@ def test_gain_strictly_decreases_in_each_spread():
 
 
 def test_gain_strictly_decreases_in_each_beamwidth():
-    assert directional_gain(BeamPattern(1.1, 2.0)) < directional_gain(BeamPattern(1.0, 2.0))
-    assert directional_gain(BeamPattern(1.0, 2.1)) < directional_gain(BeamPattern(1.0, 2.0))
+    assert ElementPattern(1.1, 2.0).gain_linear < ElementPattern(1.0, 2.0).gain_linear
+    assert ElementPattern(1.0, 2.1).gain_linear < ElementPattern(1.0, 2.0).gain_linear
+
+
+def test_report_matches_reference_composition_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for _ in range(400):
+        element = ElementPattern(
+            bw_elev_rad=float(rng.uniform(0.01, 2.0)),
+            bw_azim_rad=float(rng.uniform(0.01, 2.0)),
+        )
+        geom = ArrayGeometry(int(rng.integers(1, 200)), int(rng.integers(1, 200)))
+        zsd, asd = (
+            0.0 if rng.random() < 0.2 else float(rng.uniform(1e-4, 0.6)) for _ in range(2)
+        )
+        spread = AngularSpread(zsd_rad=zsd, asd_rad=asd)
+        report = effective_gain(element, geom, spread)
+        got = (
+            report.nominal_gain_linear,
+            report.effective_gain_linear,
+            report.upper_bound_linear,
+        )
+        assert got == _reference_gains(element, geom, spread)
+
+
+def test_effective_gain_rejects_gain_beyond_float_range():
+    # the nominal gain N * G_e overflows, so every field would print inf
+    huge = element_pattern_from_gain(3000.0)
+    with pytest.raises(ValueError, match="beyond float range"):
+        effective_gain(huge, ArrayGeometry(10**9, 1), AngularSpread(0.0, 0.0))
+    # a count past float range
+    with pytest.raises(ValueError, match="n_elements must be at most"):
+        effective_gain(element_pattern_from_gain(5.0), ArrayGeometry(10**400, 1), AngularSpread(0.1, 0.1))
+    # N * G_e fits, but one nominal width underflows to zero
+    absurd = ElementPattern(bw_elev_rad=1e-300, bw_azim_rad=1e300)
+    with pytest.raises(DegenerateElementError):
+        effective_gain(absurd, ArrayGeometry(10**30, 1), AngularSpread(0.0, 0.0))

@@ -321,6 +321,63 @@ def test_budget_beyond_float_range_is_an_input_error():
         assert result.stderr.startswith("error[input]: n_elements must be at most ")
 
 
+_TINY_WIDTHS = ("--bw-elev-deg", "1e-200", "--bw-azim-deg", "1e-200")
+_HUGE = "1" + "0" * 24
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        # N * G_e = 1e9 * 1e300 overflows; this printed "inf dBi" and exited 0
+        (("optimize", "--element-gain-dbi", "3000", "--elements", "1000000000"), "input"),
+        # the element's own gain 2 / (bw_e * bw_a) overflows
+        (("optimize", *_TINY_WIDTHS, "--elements", "4"), "element"),
+        (("validate", *_TINY_WIDTHS, "--rows", "2", "--cols", "2"), "element"),
+        # N * G_e overflows where a nominal width underflows to zero
+        (
+            ("optimize", "--bw-elev-deg", "1e-300", "--bw-azim-deg", "1", "--elements", _HUGE,
+             "--asd-deg", "1", "--zsd-deg", "0"),
+            "input",
+        ),
+        (
+            ("validate", "--bw-elev-deg", "1e-300", "--bw-azim-deg", "1", "--rows", _HUGE,
+             "--cols", "1", "--asd-deg", "1", "--zsd-deg", "1"),
+            "input",
+        ),
+        # 10 ** (headroom / 20) overflows in max_elements_for_eirp
+        (
+            ("optimize", "--elements", "4", "--element-gain-dbi", "5", "--eirp-dbm", "1e9",
+             "--element-power-dbm", "0"),
+            "input",
+        ),
+    ],
+    ids=[
+        "huge-array-gain",
+        "tiny-widths-optimize",
+        "tiny-widths-validate",
+        "huge-budget-zero-zsd",
+        "huge-rows-validate",
+        "eirp-headroom",
+    ],
+)
+def test_gain_beyond_float_range_is_a_typed_error(args, code):
+    result = _run(*args)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error[{code}]: ")
+
+
+def test_estimate_rejects_widths_beyond_float_range(tmp_path):
+    csv = tmp_path / "m.csv"
+    _forward_csv(csv, zsd_sq=0.0009, asd_sq=0.04)
+    result = _run("estimate", str(csv), *_TINY_WIDTHS)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error[element]: ")
+
+
 def test_scenario_error():
     result = _run("optimize", "--elements", "16")
     assert result.returncode == 1

@@ -20,7 +20,6 @@ from arraygain import (
     GridResolutionError,
     McConfig,
     convolve_effective_pattern,
-    directional_gain,
     effective_gain,
     element_pattern_from_gain,
     fitted_rms_widths,
@@ -233,7 +232,7 @@ def test_monte_carlo_zero_spread_is_exact():
     estimate, stderr = monte_carlo_effective_gain(
         element, geom, AngularSpread(0.0, 0.0), config
     )
-    assert estimate == directional_gain(nominal_beamwidths(element, geom))
+    assert estimate == nominal_beamwidths(element, geom).gain_linear
     assert stderr == 0.0
 
 
