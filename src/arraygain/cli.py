@@ -20,7 +20,7 @@ import sys
 from typing import Iterable, Iterator
 
 from .beam import ArrayGeometry, effective_gain, effective_gain_value, nominal_beamwidths
-from .errors import ArrayGainError, ScenarioError
+from .errors import ArrayGainError, OracleUnavailableError, ScenarioError
 from .estimate import estimate_ls, predict_subarray_gain, relative_gains_from_power
 from .optimize import optimal_geometry_integer
 from .scenario import (
@@ -225,13 +225,20 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     # the only subcommand that needs numpy; the others never load it
-    from .oracle import (
-        McConfig,
-        convolve_effective_pattern,
-        gaussian_pattern_sampled,
-        grid_for,
-        monte_carlo_effective_gain,
-    )
+    try:
+        from .oracle import (
+            McConfig,
+            convolve_effective_pattern,
+            gaussian_pattern_sampled,
+            grid_for,
+            monte_carlo_effective_gain,
+        )
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        raise OracleUnavailableError(
+            "validate needs numpy, which is not installed: pip install 'arraygain[oracle]'"
+        ) from None
 
     scenario = _scenario_from_args(args)
     geom = scenario.geometry()

@@ -65,7 +65,14 @@ class UnidentifiableSpreadError(ArrayGainError):
 
 
 class GridResolutionError(ArrayGainError):
-    """Angular grid too coarse for the pattern or spread placed on it."""
+    """Angular grid too coarse for the pattern or spread placed on it,
+    or too large to allocate."""
+
+    code = "oracle"
+
+
+class OracleUnavailableError(ArrayGainError):
+    """The numerical oracles need numpy, and it is not installed."""
 
     code = "oracle"
 

@@ -34,7 +34,12 @@ from .beam import (
     effective_gain,
     effective_gain_value,
 )
-from .errors import DegenerateSpreadError, EirpTooLowError, check_positive_float
+from .errors import (
+    DegenerateElementError,
+    DegenerateSpreadError,
+    EirpTooLowError,
+    check_positive_float,
+)
 
 
 @dataclass(frozen=True)
@@ -78,6 +83,23 @@ def _check_budget(n_elements: int, element: ElementPattern) -> None:
     # the gain arithmetic runs in floats; a budget past their range would
     # otherwise fail deep inside it as an OverflowError or an inf
     _check_array_gain(n_elements, element)
+
+
+def _check_widths(
+    element: ElementPattern, spread: AngularSpread, max_rows: int, max_cols: int
+) -> None:
+    # a nominal width bw / count that underflows to 0 on an axis without
+    # spread zeroes the gain's denominator; bw / count falls with count, so
+    # the largest counts a call evaluates settle it for every candidate
+    if spread.zsd_rad == 0.0 and element.bw_elev_rad / max_rows == 0.0:
+        name, count = "bw_elev_rad", max_rows
+    elif spread.asd_rad == 0.0 and element.bw_azim_rad / max_cols == 0.0:
+        name, count = "bw_azim_rad", max_cols
+    else:
+        return
+    raise DegenerateElementError(
+        f"degenerate element: {name} / {count} underflows to 0 on an axis with zero spread"
+    )
 
 
 def gain_upper_bound(
@@ -224,6 +246,14 @@ def optimal_geometry_integer(
                 raise ValueError(
                     f"geometry {geom.rows}x{geom.cols} exceeds the element budget {n_elements}"
                 )
+        if spread.zsd_rad == 0.0 or spread.asd_rad == 0.0:
+            # the only case _check_widths can refuse; spares two passes
+            _check_widths(
+                element,
+                spread,
+                max(geom.rows for geom in allowed_geometries),
+                max(geom.cols for geom in allowed_geometries),
+            )
         _, rows, cols = _select(
             (effective_gain_value(element, geom.rows, geom.cols, spread), geom.rows, geom.cols)
             for geom in allowed_geometries
@@ -232,6 +262,8 @@ def optimal_geometry_integer(
         # every full-budget geometry ties and the tallest comes first
         rows, cols = n_elements, 1
     else:
+        # rows = N // cols and cols both reach N in the scan
+        _check_widths(element, spread, n_elements, n_elements)
         if continuous is not None:
             start = min(max(round(continuous.cols_real), 1), n_elements)
         else:

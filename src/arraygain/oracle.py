@@ -30,6 +30,8 @@ from .errors import GridResolutionError, check_positive_float, check_positive_in
 
 _DEG = math.pi / 180.0
 _DEFAULT_SPACING_RAD = 0.05 * _DEG
+# most samples on one grid axis: 16 MB a float64 array along it
+_MAX_AXIS_SAMPLES = 2_000_000
 
 
 def _even_ceil(x: float) -> int:
@@ -81,7 +83,7 @@ def grid_for(
     bw_elev_rad: float,
     bw_azim_rad: float,
     spread: AngularSpread | None = None,
-    max_azim_samples: int = 2_000_000,
+    max_azim_samples: int = _MAX_AXIS_SAMPLES,
 ) -> AngularGrid:
     """Grid fine and wide enough for a beam and an optional spread.
 
@@ -91,7 +93,9 @@ def grid_for(
     wrapped tail below 1e-8 of the peak.  Azimuth sample count is capped
     (the circle span is fixed, so a cap is a spacing floor); patterns
     too narrow for the capped spacing fail the resolution check at
-    evaluation time rather than here.
+    evaluation time rather than here.  Elevation needs its spacing and
+    span both, so past 2,000,000 samples it raises
+    :class:`GridResolutionError` instead, before anything is allocated.
     """
     check_positive_float("bw_elev_rad", bw_elev_rad)
     check_positive_float("bw_azim_rad", bw_azim_rad)
@@ -101,15 +105,21 @@ def grid_for(
     d_azim = min(_DEFAULT_SPACING_RAD, bw_azim_rad / 8.0)
     if asd > 0.0:
         d_azim = min(d_azim, asd / 8.0)
-    n_azim = _even_ceil(2.0 * math.pi / d_azim)
-    n_azim = min(n_azim, max_azim_samples - max_azim_samples % 2)
+    # capped before rounding: the uncapped count can exceed float range
+    n_azim = _even_ceil(min(2.0 * math.pi / d_azim, max_azim_samples - max_azim_samples % 2))
 
     d_elev = min(_DEFAULT_SPACING_RAD, bw_elev_rad / 8.0)
     if zsd > 0.0:
         d_elev = min(d_elev, zsd / 8.0)
     half_span = max(math.pi / 2, 8.0 * (bw_elev_rad + zsd))
-    n_elev = _even_ceil(2.0 * half_span / d_elev)
-    return AngularGrid(n_azim=n_azim, n_elev=n_elev, elev_half_span_rad=half_span)
+    n_elev = 2.0 * half_span / d_elev
+    if not n_elev <= _MAX_AXIS_SAMPLES:
+        needed = _even_ceil(n_elev) if n_elev < 1e15 else f"{n_elev:.3g}"
+        raise GridResolutionError(
+            f"grid too large: elevation needs {needed} samples, "
+            f"more than the {_MAX_AXIS_SAMPLES} allowed per axis"
+        )
+    return AngularGrid(n_azim=n_azim, n_elev=_even_ceil(n_elev), elev_half_span_rad=half_span)
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,6 +278,14 @@ class McConfig:
             raise ValueError(f"seed must be a 64-bit non-negative integer, got {self.seed!r}")
 
 
+# Draws per variate in one chunk: memory is O(chunk) whatever the
+# realization count, and a run of at most this many draws is one chunk.
+_MC_CHUNK_DRAWS = 2**18
+# Draws per variate in one block of arithmetic, sized so that a block's
+# dozen temporaries stay in L2 cache
+_MC_BLOCK_DRAWS = 2**13
+
+
 def monte_carlo_effective_gain(
     element: ElementPattern,
     geom: ArrayGeometry,
@@ -295,28 +313,118 @@ def monte_carlo_effective_gain(
     Notes
     -----
     Deterministic for a fixed config: draws come from a Philox generator
-    keyed by the seed, in a fixed (realization, path) block layout.
+    keyed by the seed.  Realizations are drawn in chunks of
+    floor(2**18 / n_paths) (at least one): per chunk, all its azimuths,
+    then all its elevations, then all its phases, each in (realization,
+    path) order.  A run with n_paths * n_realizations <= 2**18 is one
+    chunk, the same draws as one (realization, path) array per variate.
+    A larger run draws different numbers from the same stream: at
+    n_paths = 20, n_realizations = 20_000, seed 0, for a 5 dBi element
+    in a 16 x 16 array under asd = 14 deg, zsd = 0.6 deg, whole-run
+    arrays gave 158.9552 +/- 1.2943 and two chunks give
+    156.5441 +/- 1.2590, about one SE either side of the closed form's
+    157.9044.
+    Memory is O(2**18) draws whatever the realization count.
     """
     nominal = nominal_beamwidths(element, geom)
-    bw_elev, bw_azim = nominal.bw_elev_rad, nominal.bw_azim_rad
-    gain0 = nominal.gain_linear
-
+    n_paths, n_real = config.n_paths, config.n_realizations
     rng = np.random.Generator(np.random.Philox(key=config.seed))
-    shape = (config.n_realizations, config.n_paths)
-    azim = rng.normal(0.0, spread.asd_rad, shape)
-    elev = rng.normal(0.0, spread.zsd_rad, shape)
-    phase = rng.uniform(0.0, 2.0 * math.pi, shape)
+    chunk_rows = min(n_real, max(1, _MC_CHUNK_DRAWS // n_paths))
+    draws = np.empty((3, chunk_rows, n_paths))
+    power = np.empty((2, chunk_rows))
+    # sums over realizations of received, flat, d, d*d, d*flat and
+    # flat*flat, where d = received - rho0 * flat and rho0 is the first
+    # chunk's ratio: at the run's ratio rho0 + e the residual is
+    # d - e * flat, so its square sums to S_dd - 2 e S_df + e**2 S_ff.
+    # d is already centred to the first chunk's precision, which keeps
+    # that expansion clear of the cancellation raw moments of received
+    # and flat would suffer when the two nearly agree (tiny spreads);
+    # at zero spread d is exactly 0.
+    sums = [0.0] * 6
+    rho0 = None
+    for start in range(0, n_real, chunk_rows):
+        rows = min(chunk_rows, n_real - start)
+        azim, elev, phase = draws[:, :rows]
+        # normal(0, s) and uniform(0, 2 pi) are these standard draws scaled
+        rng.standard_normal(out=azim)
+        rng.standard_normal(out=elev)
+        rng.random(out=phase)
+        received, flat = power[:, :rows]
+        _chunk_powers(azim, elev, phase, nominal, spread, received, flat)
+        if rho0 is None:
+            rho0 = float(received.sum()) / float(flat.sum())
+        d = received - rho0 * flat
+        parts = (received, flat, d, d * d, d * flat, flat * flat)
+        sums = [total + float(part.sum()) for total, part in zip(sums, parts)]
+    s_received, s_flat, s_d, s_dd, s_df, s_ff = sums
+    e = s_d / s_flat
+    s_residual = max(0.0, s_dd - e * (2.0 * s_df - e * s_ff))
+    gain0 = nominal.gain_linear
+    # se of the ratio of means: sqrt(mean(residual**2) / n) / mean(flat)
+    return gain0 * (s_received / s_flat), gain0 * (math.sqrt(s_residual) / s_flat)
 
-    # per-path amplitude relative to boresight: sqrt(g(dir) / g(0))
-    rel_amp = np.exp(-(azim**2 / bw_azim**2 + elev**2 / bw_elev**2) / 4.0)
-    phasor = np.exp(1j * phase)
-    received = np.abs((rel_amp * phasor).sum(axis=1)) ** 2 / config.n_paths
-    flat = np.abs(phasor.sum(axis=1)) ** 2 / config.n_paths
 
-    ratio = received.mean() / flat.mean()
-    residual = received - ratio * flat
-    se_ratio = math.sqrt(float((residual**2).mean()) / config.n_realizations) / flat.mean()
-    return gain0 * float(ratio), gain0 * float(se_ratio)
+def _chunk_powers(
+    azim: np.ndarray,
+    elev: np.ndarray,
+    phase: np.ndarray,
+    nominal: ElementPattern,
+    spread: AngularSpread,
+    received: np.ndarray,
+    flat: np.ndarray,
+) -> None:
+    # Per-realization received and flat power, times n_paths (the ratio
+    # and its se do not see the scale), of standard normal azim/elev and
+    # [0, 1) phase draws, (realizations, paths) each.  Blocks hold paths
+    # along their first axis, so path sums add whole rows.
+    n_real, n_paths = azim.shape
+    block_rows = min(n_real, max(1, _MC_BLOCK_DRAWS // n_paths))
+    amp = np.empty((n_paths, block_rows))
+    tmp = np.empty((2, n_paths, block_rows))
+    terms = np.empty((4, n_paths, block_rows))
+    path_sums = np.empty((4, block_rows))
+    for b0 in range(0, n_real, block_rows):
+        b1 = min(n_real, b0 + block_rows)
+        n = b1 - b0
+        a, t, w = amp[:, :n], tmp[0, :, :n], tmp[1, :, :n]
+        T, S = terms[:, :, :n], path_sums[:, :n]
+        # amplitude relative to boresight, sqrt(g(dir) / g(0)):
+        # exp(-((azim / 2 bw_azim)**2 + (elev / 2 bw_elev)**2))
+        np.multiply(azim[b0:b1].T, spread.asd_rad, out=a)
+        a /= 2.0 * nominal.bw_azim_rad
+        a *= a
+        np.multiply(elev[b0:b1].T, spread.zsd_rad, out=t)
+        t /= 2.0 * nominal.bw_elev_rad
+        t *= t
+        a += t
+        np.negative(a, out=a)
+        np.exp(a, out=a)
+        # unit phasor of phase - pi, whose sign drops out of every |sum|**2,
+        # from t = tan(phase / 4 - pi / 4) in [-1, 1] by two double-angle
+        # steps: with w = 4 / (1 + t**2)**2, cos = 1 - 2 t**2 w and
+        # sin = t (1 - t**2) w.  numpy vectorizes tan, not cos and sin: for
+        # 2e5 draws on an AVX-512 Xeon, 0.5 ms against 7.6 ms for the pair
+        np.subtract(phase[b0:b1].T, 0.5, out=t)
+        t *= 0.5 * math.pi
+        np.tan(t, out=t)
+        cos, sin = T[2], T[3]
+        np.multiply(t, t, out=w)
+        np.subtract(1.0, w, out=sin)
+        sin *= t
+        np.multiply(t, t, out=cos)
+        w += 1.0
+        w *= w
+        np.divide(4.0, w, out=w)
+        sin *= w
+        cos *= w
+        cos *= -2.0
+        cos += 1.0
+        # received sums amplitude * phasor over paths, flat the bare phasor
+        np.multiply(T[2:], a, out=T[:2])
+        np.add.reduce(T, axis=1, out=S)
+        S *= S
+        np.add(S[0], S[1], out=received[b0:b1])
+        np.add(S[2], S[3], out=flat[b0:b1])
 
 
 def _main_lobe_width(power: np.ndarray, du: float) -> float:

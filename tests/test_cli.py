@@ -249,6 +249,28 @@ def test_validate_zero_spread_is_exact():
     assert lines[-1] == "PASS"
 
 
+@pytest.mark.parametrize(
+    "args, needed",
+    [
+        # 2.4 GiB an elevation array: this used to allocate, or fail as
+        # error[internal] where memory ran out
+        (("--element-gain-dbi", "5", "--rows", "10000000", "--cols", "1"), "316027492"),
+        # the azimuth count overflowed to inf: error[internal] before
+        (("--bw-elev-deg", "1e300", "--bw-azim-deg", "1e-318", "--rows", "1", "--cols", "1"),
+         "3.2e+302"),
+    ],
+    ids=["elevation-samples", "azimuth-overflow"],
+)
+def test_validate_grid_past_the_cap_is_a_typed_error(args, needed):
+    result = _run("validate", *args)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"error[oracle]: grid too large: elevation needs {needed} samples, "
+        "more than the 2000000 allowed per axis\n"
+    )
+
+
 def test_validate_requires_geometry():
     result = _run("validate", "--element-gain-dbi", "5")
     assert result.returncode == 1
@@ -344,6 +366,19 @@ _HUGE = "1" + "0" * 24
              "--cols", "1", "--asd-deg", "1", "--zsd-deg", "1"),
             "input",
         ),
+        # N * G_e is finite, but bw_elev / N underflows to 0 where zsd = 0,
+        # which zeroed the scan's gain denominator (error[internal] before)
+        (
+            ("optimize", "--bw-elev-deg", "1e-300", "--bw-azim-deg", "1e300", "--elements",
+             "1" + "0" * 30, "--asd-deg", "1", "--zsd-deg", "0"),
+            "element",
+        ),
+        (
+            ("sweep", "--bw-elev-deg", "1e-300", "--bw-azim-deg", "1e300", "--elements",
+             "1" + "0" * 30, "--asd-deg", "1", "--zsd-deg", "0",
+             "--geometries", "1" + "0" * 30 + "x1"),
+            "element",
+        ),
         # 10 ** (headroom / 20) overflows in max_elements_for_eirp
         (
             ("optimize", "--elements", "4", "--element-gain-dbi", "5", "--eirp-dbm", "1e9",
@@ -357,6 +392,8 @@ _HUGE = "1" + "0" * 24
         "tiny-widths-validate",
         "huge-budget-zero-zsd",
         "huge-rows-validate",
+        "underflowing-width-optimize",
+        "underflowing-width-sweep",
         "eirp-headroom",
     ],
 )
@@ -430,13 +467,18 @@ def test_planning_subcommands_run_without_numpy(tmp_path):
         assert bare.stdout == normal.stdout
 
     # the child really has no numpy: validate, which needs it, fails there
+    # with one typed line naming the extra that provides it
     validate = subprocess.run(
         [sys.executable, "-c", _WITHOUT_NUMPY, "validate", "--element-gain-dbi", "5",
          "--rows", "4", "--cols", "4"],
         capture_output=True, text=True, timeout=300,
     )
-    assert validate.returncode == 2
-    assert "numpy" in validate.stderr
+    assert validate.returncode == 1
+    assert validate.stdout == ""
+    lines = validate.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error[oracle]: validate needs numpy")
+    assert "pip install 'arraygain[oracle]'" in lines[0]
 
 
 def test_oracle_names_resolve_lazily():

@@ -8,6 +8,9 @@ energy conservation, exactness at zero spread, and determinism.
 from __future__ import annotations
 
 import math
+import random
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from arraygain import (
     nominal_beamwidths,
     upa_array_factor_beamwidth,
 )
+from arraygain import oracle
 from arraygain.oracle import _array_factor_power, _main_lobe_width
 
 DEG = math.pi / 180.0
@@ -84,6 +88,34 @@ def test_grid_for_refines_for_narrow_features():
 def test_grid_for_azimuth_cap_is_even():
     grid = grid_for(bw_elev_rad=10 * DEG, bw_azim_rad=0.01 * DEG, max_azim_samples=10_001)
     assert grid.n_azim == 10_000
+
+
+def test_grid_for_rejects_elevation_past_the_cap_before_allocating():
+    # a 5 dBi element in 10**7 rows: 316,027,492 elevation samples, 2.4 GiB
+    # an array; the count is arithmetic, so nothing the size of it exists
+    element = element_pattern_from_gain(5.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridResolutionError, match="elevation needs 316027492 samples"):
+            grid_for(element.bw_elev_rad / 10_000_000, element.bw_azim_rad)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # a width so large its span overflows names no finite count
+    with pytest.raises(GridResolutionError, match="needs inf samples"):
+        grid_for(1e308, 1.0)
+    # a span of pi at spacing bw / 8 takes 8 pi / bw samples: just under
+    # the cap is still a grid, just over it is refused
+    assert 1_998_000 <= grid_for(8.0 * math.pi / 1_999_000, 1.0).n_elev <= 2_000_000
+    with pytest.raises(GridResolutionError, match="elevation needs 200100[0-9] samples"):
+        grid_for(8.0 * math.pi / 2_001_000, 1.0)
+
+
+def test_grid_for_caps_azimuth_past_float_range():
+    # 2 pi / (bw / 8) overflows to inf for a subnormal width; the cap
+    # applies before rounding, so this is a capped grid, not an OverflowError
+    assert grid_for(1.0, 1e-320).n_azim == 2_000_000
 
 
 # --- sampled Gaussian patterns -----------------------------------------
@@ -245,6 +277,154 @@ def test_monte_carlo_brackets_closed_form():
     analytic = effective_gain(element, geom, spread).effective_gain_linear
     assert stderr > 0.0
     assert abs(estimate - analytic) <= 3.0 * stderr
+
+
+def _reference_monte_carlo(element, geom, spread, config):
+    # the kernel as it was before chunking, kept verbatim as the reference:
+    # one (realization, path) array per variate, complex phasors
+    nominal = nominal_beamwidths(element, geom)
+    bw_elev, bw_azim = nominal.bw_elev_rad, nominal.bw_azim_rad
+    gain0 = nominal.gain_linear
+
+    rng = np.random.Generator(np.random.Philox(key=config.seed))
+    shape = (config.n_realizations, config.n_paths)
+    azim = rng.normal(0.0, spread.asd_rad, shape)
+    elev = rng.normal(0.0, spread.zsd_rad, shape)
+    phase = rng.uniform(0.0, 2.0 * math.pi, shape)
+
+    # per-path amplitude relative to boresight: sqrt(g(dir) / g(0))
+    rel_amp = np.exp(-(azim**2 / bw_azim**2 + elev**2 / bw_elev**2) / 4.0)
+    phasor = np.exp(1j * phase)
+    received = np.abs((rel_amp * phasor).sum(axis=1)) ** 2 / config.n_paths
+    flat = np.abs(phasor.sum(axis=1)) ** 2 / config.n_paths
+
+    ratio = received.mean() / flat.mean()
+    residual = received - ratio * flat
+    se_ratio = math.sqrt(float((residual**2).mean()) / config.n_realizations) / flat.mean()
+    return gain0 * float(ratio), gain0 * float(se_ratio)
+
+
+def _assert_mc_agrees(got, want, n_realizations):
+    (gain, se), (want_gain, want_se) = got, want
+    assert gain == pytest.approx(want_gain, rel=1e-12)
+    # The SE agrees to 1e-12 relative, plus the precision float64 grants
+    # it: each residual received - ratio * flat is known to a few eps *
+    # flat, which puts the SE at about gain * eps * sqrt(sum flat**2) /
+    # sum flat ~ gain * eps * sqrt(2 / n).  That floor matters only where
+    # the spread is tiny beside the beam, so received ~ flat and the
+    # residuals are small; 16 covers the rounding of both kernels.
+    floor = 16.0 * sys.float_info.epsilon * want_gain * math.sqrt(2.0 / n_realizations)
+    assert abs(se - want_se) <= 1e-12 * want_se + floor
+
+
+def test_monte_carlo_matches_reference_kernel():
+    rng = random.Random(20261018)
+
+    def spread_rad():
+        # log-uniform over 0.01..30 deg, zero one time in six
+        if rng.random() < 1 / 6:
+            return 0.0
+        return math.radians(math.exp(rng.uniform(math.log(0.01), math.log(30.0))))
+
+    # whole-chunk boundaries first: the largest runs that are still one chunk
+    shapes = [(1, 2**18), (20, 2**18 // 20), (64, 4096), (3, 2**18 // 3)]
+    n_zero = 0
+    for case in range(240):
+        element = ElementPattern(
+            bw_elev_rad=math.radians(rng.uniform(1.0, 30.0)),
+            bw_azim_rad=math.radians(rng.uniform(1.0, 30.0)),
+        )
+        geom = ArrayGeometry(rng.randint(1, 64), rng.randint(1, 16))
+        spread = AngularSpread(0.0, 0.0) if case % 10 == 0 else AngularSpread(spread_rad(), spread_rad())
+        if case < len(shapes):
+            n_paths, n_realizations = shapes[case]
+        else:
+            n_paths = rng.randint(1, 40)
+            n_realizations = rng.randint(1, 2000)
+        assert n_paths * n_realizations <= 2**18
+        config = McConfig(n_paths=n_paths, n_realizations=n_realizations, seed=rng.getrandbits(64))
+
+        got = monte_carlo_effective_gain(element, geom, spread, config)
+        want = _reference_monte_carlo(element, geom, spread, config)
+        if spread.is_zero:
+            n_zero += 1
+            assert got == want
+            assert got[1] == 0.0
+        else:
+            _assert_mc_agrees(got, want, n_realizations)
+    assert n_zero >= 24
+
+
+def _chunked_reference(element, geom, spread, config, chunk_draws):
+    # the reference arithmetic on the chunked draw layout (per chunk:
+    # azimuths, elevations, phases), then two passes over all realizations
+    nominal = nominal_beamwidths(element, geom)
+    n_paths, n_realizations = config.n_paths, config.n_realizations
+    rng = np.random.Generator(np.random.Philox(key=config.seed))
+    chunk_rows = max(1, chunk_draws // n_paths)
+    received, flat = [], []
+    for start in range(0, n_realizations, chunk_rows):
+        shape = (min(chunk_rows, n_realizations - start), n_paths)
+        azim = rng.normal(0.0, spread.asd_rad, shape)
+        elev = rng.normal(0.0, spread.zsd_rad, shape)
+        phase = rng.uniform(0.0, 2.0 * math.pi, shape)
+        rel_amp = np.exp(
+            -(azim**2 / nominal.bw_azim_rad**2 + elev**2 / nominal.bw_elev_rad**2) / 4.0
+        )
+        phasor = np.exp(1j * phase)
+        received.append(np.abs((rel_amp * phasor).sum(axis=1)) ** 2)
+        flat.append(np.abs(phasor.sum(axis=1)) ** 2)
+    received = np.concatenate(received)
+    flat = np.concatenate(flat)
+    ratio = received.sum() / flat.sum()
+    residual = received - ratio * flat
+    se_ratio = math.sqrt(float((residual**2).sum())) / flat.sum()
+    return nominal.gain_linear * float(ratio), nominal.gain_linear * float(se_ratio)
+
+
+@pytest.mark.parametrize(
+    "zsd_deg, asd_deg",
+    [(3.0, 10.0), (1e-5, 1e-5), (0.0, 1e-5), (0.0, 0.0), (25.0, 0.0)],
+    ids=["typical", "tiny", "tiny-one-sided", "zero", "one-sided"],
+)
+def test_monte_carlo_chunks_match_two_pass(monkeypatch, zsd_deg, asd_deg):
+    # 2**10 draws a chunk and 2**7 a block: 7 paths x 1000 realizations
+    # run as six whole chunks of 146 and a part one, each in 7 blocks or
+    # fewer; the 1e-5 deg spreads make received ~ flat, where one-pass raw
+    # moments of received and flat would cancel to noise
+    monkeypatch.setattr(oracle, "_MC_CHUNK_DRAWS", 2**10)
+    monkeypatch.setattr(oracle, "_MC_BLOCK_DRAWS", 2**7)
+    element = ElementPattern(bw_elev_rad=math.radians(5.0), bw_azim_rad=math.radians(8.0))
+    geom = ArrayGeometry(2, 1)
+    spread = AngularSpread(zsd_rad=math.radians(zsd_deg), asd_rad=math.radians(asd_deg))
+    config = McConfig(n_paths=7, n_realizations=1000, seed=4242)
+
+    got = monte_carlo_effective_gain(element, geom, spread, config)
+    want = _chunked_reference(element, geom, spread, config, chunk_draws=2**10)
+    if spread.is_zero:
+        assert got == (nominal_beamwidths(element, geom).gain_linear, 0.0)
+    else:
+        assert got[1] > 0.0
+        _assert_mc_agrees(got, want, config.n_realizations)
+        # several chunks draw other numbers than one array a variate
+        assert got[0] != _reference_monte_carlo(element, geom, spread, config)[0]
+
+
+def test_monte_carlo_memory_is_bounded():
+    # 2 * 10**7 draws a variate in chunks of 2**18; the old layout held
+    # about 1.2 KiB a realization, over 1 GiB here
+    element = element_pattern_from_gain(5.0)
+    spread = AngularSpread(zsd_rad=0.6 * DEG, asd_rad=14 * DEG)
+    config = McConfig(n_paths=20, n_realizations=1_000_000, seed=1)
+    tracemalloc.start()
+    try:
+        estimate, stderr = monte_carlo_effective_gain(element, ArrayGeometry(16, 16), spread, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    analytic = effective_gain(element, ArrayGeometry(16, 16), spread).effective_gain_linear
+    assert 0.0 < stderr and abs(estimate - analytic) <= 4.0 * stderr
 
 
 def test_mc_config_validation():
