@@ -228,8 +228,8 @@ def effective_gain_value(
     Each axis widens to hypot(element beamwidth / count, spread), and the
     gain is 2 / (product of the widths).  Takes real-valued rows/cols and
     returns just the linear gain.  Used by :func:`effective_gain` and to
-    evaluate the continuous optimum, the integer scan with its envelope,
-    and sweep rows.
+    evaluate the continuous optimum and the integer scan with its
+    envelope; ``sweep`` repeats its operations a block of rows at a time.
     """
     if rows <= 0.0 or cols <= 0.0:
         raise ValueError("rows and cols must be positive")
@@ -246,7 +246,9 @@ def effective_gain(
     The nominal gain is the gain at zero spread, the effective gain is
     :func:`effective_gain_value` at ``spread``, and the bound is the
     element-budget upper bound at N = rows * cols.  An array whose
-    nominal gain N * G_e is beyond float range raises ValueError.
+    nominal gain N * G_e is beyond float range raises ValueError; a
+    subnormal nominal width whose rounding breaks the report's orderings
+    raises DegenerateElementError.
 
     Parameters
     ----------
@@ -260,10 +262,21 @@ def effective_gain(
         Nominal, effective and bound gains, linear and dBi.
     """
     _check_array_gain(geom.n_elements, element)
-    return GainReport.from_linear(
-        # hypot(x, 0) is exactly x, so this is effective_gain_value at zero
-        # spread; building the beam rejects a width that underflows to 0
-        nominal=nominal_beamwidths(element, geom).gain_linear,
-        effective=effective_gain_value(element, geom.rows, geom.cols, spread),
-        bound=_upper_bound(geom.n_elements, element, spread),
-    )
+    # building the beam rejects a width that underflows to 0
+    nominal = nominal_beamwidths(element, geom)
+    try:
+        return GainReport.from_linear(
+            # hypot(x, 0) is exactly x, so this is effective_gain_value at zero spread
+            nominal=nominal.gain_linear,
+            effective=effective_gain_value(element, geom.rows, geom.cols, spread),
+            bound=_upper_bound(geom.n_elements, element, spread),
+        )
+    except ValueError:
+        # a subnormal width loses precision, enough to break the orderings
+        for name in ("bw_elev_rad", "bw_azim_rad"):
+            width = getattr(nominal, name)
+            if width < sys.float_info.min:
+                raise DegenerateElementError(
+                    f"degenerate element: nominal {name} = {width!r} is subnormal"
+                ) from None
+        raise

@@ -10,6 +10,11 @@ Every failure prints a single ``error[<code>]: message`` line to stderr;
 exit status is 0 on success, 1 on user error or a failed validation,
 2 on an internal fault.  Output is byte-stable for fixed inputs: fixed
 field order, 6-decimal floats, LF line endings.
+
+``sweep`` writes runs of equal rows in blocks of a few thousand rows, so
+its memory stays flat in N; each gain takes the float operations of
+``effective_gain_value`` and ``linear_to_db`` in order, so the bytes are
+a row-by-row writer's.
 """
 
 from __future__ import annotations
@@ -17,12 +22,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Iterable, Iterator
+from contextlib import nullcontext
+from itertools import chain, repeat
+from operator import eq, mul, truediv
 
-from .beam import ArrayGeometry, effective_gain, effective_gain_value, nominal_beamwidths
+from .beam import ArrayGeometry, effective_gain, nominal_beamwidths
 from .errors import ArrayGainError, OracleUnavailableError, ScenarioError
 from .estimate import estimate_ls, predict_subarray_gain, relative_gains_from_power
-from .optimize import optimal_geometry_integer
+from .optimize import _row_runs, optimal_geometry_integer
 from .scenario import (
     Scenario,
     load_measurements_csv,
@@ -121,21 +128,48 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     return Scenario(**values)
 
 
-def _emit(lines: Iterable[str], path: str | None) -> None:
-    if path is None:
-        sys.stdout.writelines(line + "\n" for line in lines)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(line + "\n" for line in lines)
+# columns formatted at once: the rows = 1 run alone spans half the budget,
+# and blocks of this many keep memory flat in N
+_SWEEP_BLOCK = 4096
 
 
-def _sweep_rows(element, spread, geometries, winner: ArrayGeometry) -> Iterator[str]:
-    # geometries: (rows, cols) pairs, consumed once
-    yield SWEEP_HEADER
-    for rows, cols in geometries:
-        gain_dbi = linear_to_db(effective_gain_value(element, rows, cols, spread))
-        flag = 1 if (rows, cols) == (winner.rows, winner.cols) else 0
-        yield f"{rows},{cols},{gain_dbi:.6f},{flag}"
+def _write_sweep(path: str | None, element, spread, runs, winner: ArrayGeometry) -> None:
+    # runs: (rows, range of cols) pairs, consumed once; path None is stdout.
+    # Each gain takes the float operations of effective_gain_value and
+    # linear_to_db in their order: the elevation width once per run, the
+    # rest column by column, a block at a time
+    with nullcontext(sys.stdout) if path is None else open(
+        path, "w", encoding="utf-8", newline="\n"
+    ) as out:
+        out.write(SWEEP_HEADER + "\n")
+        bw_azim, asd = element.bw_azim_rad, spread.asd_rad
+        for rows, cols in runs:
+            elev = math.hypot(element.bw_elev_rad / rows, spread.zsd_rad)
+            flagged = rows == winner.rows
+            template = f"{rows},%d,%.6f,%d\n" if flagged else f"{rows},%d,%.6f,0\n"
+
+            def text(block: range, gains: list[float]) -> str:
+                dbis = map(mul, repeat(10.0), map(math.log10, gains))
+                if flagged:
+                    fields = zip(block, dbis, map(eq, block, repeat(winner.cols)))
+                else:
+                    fields = zip(block, dbis)
+                return (template * len(block)) % tuple(chain.from_iterable(fields))
+
+            for start in range(cols.start, cols.stop, _SWEEP_BLOCK):
+                block = range(start, min(start + _SWEEP_BLOCK, cols.stop))
+                azims = map(math.hypot, map(truediv, repeat(bw_azim), block), repeat(asd))
+                gains = list(map(truediv, repeat(2.0), map(mul, repeat(elev), azims)))
+                try:
+                    lines = text(block, gains)
+                except ValueError:
+                    # log10 refuses a zero gain (widths whose product
+                    # overflows): write the rows before it, then fail as
+                    # linear_to_db does
+                    bad = gains.index(0.0)
+                    out.write(text(block[:bad], gains[:bad]))
+                    linear_to_db(gains[bad])
+                out.write(lines)
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
@@ -163,9 +197,9 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     lines.append(f"effective gain: {result.integer_gain.effective_gain_dbi:.6f} dBi")
     lines.append(f"nominal gain: {result.integer_gain.nominal_gain_dbi:.6f} dBi")
     lines.append(f"upper bound: {linear_to_db(result.bound_gain_linear):.6f} dBi")
-    _emit(lines, None)
+    print("\n".join(lines))
     if args.csv is not None:
-        _emit(_sweep_rows(element, spread, [(best.rows, best.cols)], best), args.csv)
+        _write_sweep(args.csv, element, spread, [(best.rows, range(best.cols, best.cols + 1))], best)
     return 0
 
 
@@ -175,13 +209,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     spread = scenario.spread()
     budget = scenario.budget()
     if args.geometries is None or args.geometries == "all":
-        geometries = ((budget // cols, cols) for cols in range(1, budget + 1))
+        runs = _row_runs(budget)
         restriction = scenario.allowed_geometries
     else:
         restriction = parse_geometry_list(args.geometries)
-        geometries = ((geom.rows, geom.cols) for geom in restriction)
+        runs = ((geom.rows, range(geom.cols, geom.cols + 1)) for geom in restriction)
     winner = optimal_geometry_integer(budget, element, spread, restriction).integer_best
-    _emit(_sweep_rows(element, spread, geometries, winner), args.out)
+    _write_sweep(args.out, element, spread, runs, winner)
     return 0
 
 
@@ -219,7 +253,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         lines.append(
             f"predicted gain {rows}x{cols} vs baseline: {linear_to_db(predicted):.6f} dB"
         )
-    _emit(lines, None)
+    print("\n".join(lines))
     return 0
 
 
@@ -276,7 +310,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         f"monte-carlo gain: {linear_to_db(mc_gain):.6f} dBi +/- {se_db:.6f} dB (z {z_score:.6f}, limit 3)",
         "PASS" if conv_ok and mc_ok else "FAIL",
     ]
-    _emit(lines, None)
+    print("\n".join(lines))
     return 0 if conv_ok and mc_ok else 1
 
 

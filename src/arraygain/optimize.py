@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .beam import (
     _REL_TOL,
@@ -149,6 +149,17 @@ def optimal_geometry_continuous(
         / (element.bw_azim_rad * spread.zsd_rad)
     )
     return ContinuousGeometry(rows_real=rows, cols_real=n_elements / rows)
+
+
+def _row_runs(n: int) -> Iterator[tuple[int, range]]:
+    # the geometries (N // cols, cols), cols = 1..N, as (rows, range of
+    # cols) runs of equal rows in ascending cols: about 2 sqrt(N) of them
+    cols = 1
+    while cols <= n:
+        rows = n // cols
+        stop = n // rows + 1
+        yield rows, range(cols, stop)
+        cols = stop
 
 
 def _select(scored: Iterable[tuple[float, int, int]]) -> tuple[float, int, int]:

@@ -260,10 +260,16 @@ def fitted_rms_widths(pattern: SampledPattern) -> ElementPattern:
     )
 
 
+# Draws per variate in one chunk: memory is O(chunk) whatever the
+# realization count, and a run of at most this many draws is one chunk.
+_MC_CHUNK_DRAWS = 2**18
+
+
 @dataclass(frozen=True)
 class McConfig:
-    """Monte-Carlo run shape: paths per realization, realization count,
-    and the 64-bit seed that makes the run reproducible."""
+    """Monte-Carlo run shape: paths per realization (at most one chunk,
+    2**18), realization count, and the 64-bit seed that makes the run
+    reproducible."""
 
     n_paths: int = 20
     n_realizations: int = 10_000
@@ -272,15 +278,18 @@ class McConfig:
     def __post_init__(self) -> None:
         check_positive_int("n_paths", self.n_paths)
         check_positive_int("n_realizations", self.n_realizations)
+        if self.n_paths > _MC_CHUNK_DRAWS:
+            # a chunk holds whole realizations, so this bounds its memory
+            raise ValueError(
+                f"n_paths must be at most {_MC_CHUNK_DRAWS} (one Monte-Carlo chunk), "
+                f"got {self.n_paths}"
+            )
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not (
             0 <= self.seed < 2**64
         ):
             raise ValueError(f"seed must be a 64-bit non-negative integer, got {self.seed!r}")
 
 
-# Draws per variate in one chunk: memory is O(chunk) whatever the
-# realization count, and a run of at most this many draws is one chunk.
-_MC_CHUNK_DRAWS = 2**18
 # Draws per variate in one block of arithmetic, sized so that a block's
 # dozen temporaries stay in L2 cache
 _MC_BLOCK_DRAWS = 2**13
@@ -314,9 +323,9 @@ def monte_carlo_effective_gain(
     -----
     Deterministic for a fixed config: draws come from a Philox generator
     keyed by the seed.  Realizations are drawn in chunks of
-    floor(2**18 / n_paths) (at least one): per chunk, all its azimuths,
-    then all its elevations, then all its phases, each in (realization,
-    path) order.  A run with n_paths * n_realizations <= 2**18 is one
+    floor(2**18 / n_paths), at least one as n_paths <= 2**18: per chunk,
+    all its azimuths, then all its elevations, then all its phases, each
+    in (realization, path) order.  A run with n_paths * n_realizations <= 2**18 is one
     chunk, the same draws as one (realization, path) array per variate.
     A larger run draws different numbers from the same stream: at
     n_paths = 20, n_realizations = 20_000, seed 0, for a 5 dBi element
@@ -329,7 +338,7 @@ def monte_carlo_effective_gain(
     nominal = nominal_beamwidths(element, geom)
     n_paths, n_real = config.n_paths, config.n_realizations
     rng = np.random.Generator(np.random.Philox(key=config.seed))
-    chunk_rows = min(n_real, max(1, _MC_CHUNK_DRAWS // n_paths))
+    chunk_rows = min(n_real, _MC_CHUNK_DRAWS // n_paths)
     draws = np.empty((3, chunk_rows, n_paths))
     power = np.empty((2, chunk_rows))
     # sums over realizations of received, flat, d, d*d, d*flat and

@@ -8,20 +8,28 @@ format, the sweep CSV round trip, and the error-code contract
 from __future__ import annotations
 
 import math
+import random
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from arraygain import (
     AngularSpread,
     ArrayGeometry,
+    Scenario,
+    cli,
     effective_gain,
     effective_gain_value,
     element_pattern_from_gain,
+    optimal_geometry_integer,
 )
+from arraygain.units import linear_to_db
 
 _CMD = [sys.executable, "-m", "arraygain"]
+_DATA = Path(__file__).resolve().parent / "data"
 
 
 def _run(*args, binary=False):
@@ -159,6 +167,198 @@ def test_sweep_out_file_uses_lf(tmp_path):
     assert len(data.splitlines()) == 33
 
 
+# --- sweep rows against the per-row reference ----------------------------
+
+def _reference_sweep_text(scenario, listed, restriction=None):
+    """The sweep CSV and error line of a writer that composes each row on
+    its own: effective_gain_value, then linear_to_db, then one f-string.
+
+    listed holds the (rows, cols) rows in output order, restriction the
+    geometries the winner comes from (None: the whole budget).  The text
+    ends where a row fails, as a stream of rows does.
+    """
+    lines = []
+    try:
+        element, spread, budget = scenario.element(), scenario.spread(), scenario.budget()
+        winner = optimal_geometry_integer(budget, element, spread, restriction).integer_best
+        lines.append("rows,cols,effective_gain_dbi,is_optimum")
+        for rows, cols in listed:
+            gain_dbi = linear_to_db(effective_gain_value(element, rows, cols, spread))
+            flag = 1 if (rows, cols) == (winner.rows, winner.cols) else 0
+            lines.append(f"{rows},{cols},{gain_dbi:.6f},{flag}")
+    except ValueError as exc:
+        error = f"error[{getattr(exc, 'code', 'input')}]: {exc}\n"
+    else:
+        error = ""
+    return "".join(line + "\n" for line in lines), error
+
+
+_FLAG_NAMES = {
+    "element_gain_dbi": "--element-gain-dbi",
+    "bw_elev_deg": "--bw-elev-deg",
+    "bw_azim_deg": "--bw-azim-deg",
+    "asd_deg": "--asd-deg",
+    "zsd_deg": "--zsd-deg",
+}
+
+
+def _scenario_flags(values):
+    flags = []
+    for name, value in values.items():
+        flags += [_FLAG_NAMES[name], repr(value)]
+    return flags
+
+
+def _geometry_text(geometries):
+    return ",".join(f"{rows}x{cols}" for rows, cols in geometries)
+
+
+def _random_geometries(rng, n, count, off_rows):
+    # (rows, cols) within budget n; off_rows keeps rows below n // cols, so
+    # that none is a row of the full sweep (needs n >= 2)
+    geometries = []
+    for _ in range(count):
+        if off_rows:
+            cols = rng.randint(1, n // 2)
+            geometries.append((rng.randint(1, n // cols - 1), cols))
+        else:
+            cols = rng.randint(1, n)
+            geometries.append((rng.randint(1, n // cols), cols))
+    return geometries
+
+
+def _sweep_cases(count, seed):
+    # (argv, scenario, listed rows, restriction, whether output goes to a file)
+    rng = random.Random(seed)
+    fixed = (1, 2, 720, 5040, 5000, 720, 5040)
+    for case in range(count):
+        n = fixed[case] if case < len(fixed) else round(math.exp(rng.uniform(0.0, math.log(5000))))
+        if rng.random() < 0.5:
+            values = {"element_gain_dbi": rng.uniform(-5.0, 20.0)}
+        else:
+            values = {"bw_elev_deg": rng.uniform(3.0, 90.0), "bw_azim_deg": rng.uniform(3.0, 90.0)}
+        values["zsd_deg"] = 0.0 if rng.randrange(7) == 0 else rng.uniform(0.01, 15.0)
+        values["asd_deg"] = 0.0 if rng.randrange(7) == 0 else rng.uniform(0.01, 40.0)
+        argv = ["--elements", str(n), *_scenario_flags(values)]
+        scenario = Scenario(n_elements=n, **values)
+        full = [(n // cols, cols) for cols in range(1, n + 1)]
+        mode = rng.choice(("all", "all", "explicit", "allowed", "csv"))
+        if mode == "allowed" and n < 2:
+            mode = "all"
+        if mode == "all":
+            argv = ["sweep", *argv] + (["--geometries", "all"] if rng.random() < 0.5 else [])
+            yield argv, scenario, full, None, rng.random() < 0.5
+        elif mode == "explicit":
+            listed = _random_geometries(rng, n, rng.randint(1, 8), off_rows=False)
+            listed += rng.sample(listed, rng.randint(0, len(listed)))
+            rng.shuffle(listed)
+            restriction = [ArrayGeometry(rows, cols) for rows, cols in listed]
+            winner = optimal_geometry_integer(
+                n, scenario.element(), scenario.spread(), restriction
+            ).integer_best
+            listed.insert(rng.randint(0, len(listed)), (winner.rows, winner.cols))
+            restriction = [ArrayGeometry(rows, cols) for rows, cols in listed]
+            argv = ["sweep", *argv, "--geometries", _geometry_text(listed)]
+            yield argv, scenario, listed, restriction, rng.random() < 0.5
+        elif mode == "allowed":
+            allowed = _random_geometries(rng, n, rng.randint(1, 6), off_rows=True)
+            restriction = [ArrayGeometry(rows, cols) for rows, cols in allowed]
+            argv = ["sweep", *argv, "--allowed-geometries", _geometry_text(allowed)]
+            yield argv, scenario, full, restriction, rng.random() < 0.5
+        else:
+            best = optimal_geometry_integer(n, scenario.element(), scenario.spread()).integer_best
+            yield ["optimize", *argv], scenario, [(best.rows, best.cols)], None, True
+
+
+def test_sweep_rows_match_the_per_row_reference(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    seen = set()
+    for argv, scenario, listed, restriction, to_file in _sweep_cases(300, seed=20261018):
+        want, error = _reference_sweep_text(scenario, listed, restriction)
+        assert error == "", argv
+        if to_file:
+            argv = argv + ["--csv" if argv[0] == "optimize" else "--out", str(out)]
+        status = cli.main(argv)
+        printed = capsys.readouterr()
+        assert status == 0, (argv, printed.err)
+        if to_file:
+            got = out.read_text(encoding="utf-8")
+        else:
+            got = printed.out
+        assert got == want, argv
+        seen.add((argv[0], "--allowed-geometries" in argv, "--geometries" in argv))
+        if restriction is not None and "--allowed-geometries" in argv:
+            # the winner is no (N // cols, cols) row, so none is flagged
+            assert not any(line.endswith(",1") for line in want.splitlines())
+    assert len(seen) >= 4
+
+
+@pytest.mark.parametrize(
+    "values, n, geometries, to_file",
+    [
+        # the element's widths multiply to inf: the budget bound is 0, which
+        # fails before the header
+        ({"bw_elev_deg": 1e156, "bw_azim_deg": 1e156, "asd_deg": 1.0, "zsd_deg": 1.0},
+         16, None, False),
+        # rows <= 1 widen elevation until the width product overflows: the
+        # run of rows = 1 fails at its first column, after 2,500 rows
+        ({"bw_elev_deg": 1e150, "bw_azim_deg": 1.0, "asd_deg": 1e162, "zsd_deg": 0.0},
+         5000, None, False),
+        ({"bw_elev_deg": 1e150, "bw_azim_deg": 1.0, "asd_deg": 1e162, "zsd_deg": 0.0},
+         5000, None, True),
+        # an explicit list whose third geometry has a zero gain
+        ({"bw_elev_deg": 1.0, "bw_azim_deg": 1e12, "asd_deg": 0.0, "zsd_deg": 1e301},
+         100, [(1, 100), (2, 50), (1, 1), (1, 100)], False),
+    ],
+    ids=["bound-zero", "run-stdout", "run-out-file", "explicit-list"],
+)
+def test_sweep_zero_gain_fails_like_the_reference(values, n, geometries, to_file, tmp_path):
+    scenario = Scenario(n_elements=n, **values)
+    argv = ["sweep", "--elements", str(n), *_scenario_flags(values)]
+    if geometries is None:
+        listed, restriction = [(n // cols, cols) for cols in range(1, n + 1)], None
+    else:
+        listed = geometries
+        restriction = [ArrayGeometry(rows, cols) for rows, cols in geometries]
+        argv += ["--geometries", _geometry_text(geometries)]
+    out = tmp_path / "rows.csv"
+    if to_file:
+        argv += ["--out", str(out)]
+    want, error = _reference_sweep_text(scenario, listed, restriction)
+    assert error == "error[input]: cannot express 0.0 in dB, need a positive ratio\n"
+    result = _run(*argv)
+    assert result.returncode == 1
+    assert result.stderr == error
+    assert (out.read_text() if to_file else result.stdout) == want
+
+
+def test_sweep_long_run_is_written_in_blocks(tmp_path):
+    # rows = 1 for cols 100001..200000: one run of 10**5 rows, 2 MiB of text
+    out = tmp_path / "sweep.csv"
+    tracemalloc.start()
+    try:
+        status = cli.main([
+            "sweep", "--elements", "200000", "--element-gain-dbi", "5",
+            "--asd-deg", "22", "--zsd-deg", "5", "--out", str(out),
+        ])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    assert peak < 5 * 2**20
+    with out.open() as fh:
+        assert sum(1 for _ in fh) == 200_001
+
+
+def test_sweep_output_matches_the_golden_file():
+    # the script and file that the stdlib CI job diffs on each supported Python
+    result = subprocess.run(
+        ["sh", str(_DATA / "sweep_golden.sh"), sys.executable], capture_output=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (_DATA / "sweep_golden.csv").read_bytes()
+
+
 # --- estimate -----------------------------------------------------------
 
 def _forward_csv(path, zsd_sq, asd_sq, shapes=((4, 4), (4, 8), (4, 16), (8, 4), (16, 4))):
@@ -268,6 +468,19 @@ def test_validate_grid_past_the_cap_is_a_typed_error(args, needed):
     assert result.stderr == (
         f"error[oracle]: grid too large: elevation needs {needed} samples, "
         "more than the 2000000 allowed per axis\n"
+    )
+
+
+def test_validate_paths_past_one_chunk_is_a_typed_error():
+    # a chunk holds whole realizations: this asked numpy for 2.24 GiB at once
+    result = _run(
+        "validate", "--element-gain-dbi", "5", "--rows", "4", "--cols", "4",
+        "--paths", "100000000", "--realizations", "1",
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error[input]: n_paths must be at most 262144 (one Monte-Carlo chunk), got 100000000\n"
     )
 
 
@@ -385,6 +598,18 @@ _HUGE = "1" + "0" * 24
              "--element-power-dbm", "0"),
             "input",
         ),
+        # bw_azim / cols is subnormal, and its rounding lifted the gain past
+        # the bound: error[input] "effective gain exceeds the upper bound" before
+        (
+            ("validate", "--bw-elev-deg", "1e300", "--bw-azim-deg", "1e-300", "--rows", "1",
+             "--cols", "1" + "0" * 20),
+            "element",
+        ),
+        (
+            ("optimize", "--bw-elev-deg", "1e300", "--bw-azim-deg", "1e-300", "--elements",
+             "1" + "0" * 20, "--allowed-geometries", "1x1" + "0" * 20),
+            "element",
+        ),
     ],
     ids=[
         "huge-array-gain",
@@ -395,6 +620,8 @@ _HUGE = "1" + "0" * 24
         "underflowing-width-optimize",
         "underflowing-width-sweep",
         "eirp-headroom",
+        "subnormal-width-validate",
+        "subnormal-width-optimize",
     ],
 )
 def test_gain_beyond_float_range_is_a_typed_error(args, code):
@@ -404,6 +631,14 @@ def test_gain_beyond_float_range_is_a_typed_error(args, code):
     lines = result.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"error[{code}]: ")
+
+
+def test_subnormal_nominal_width_is_named():
+    result = _run(
+        "optimize", "--bw-elev-deg", "1e300", "--bw-azim-deg", "1e-300", "--elements",
+        "1" + "0" * 20, "--allowed-geometries", "1x1" + "0" * 20,
+    )
+    assert result.stderr == "error[element]: degenerate element: nominal bw_azim_rad = 1.73e-322 is subnormal\n"
 
 
 def test_estimate_rejects_widths_beyond_float_range(tmp_path):

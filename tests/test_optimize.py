@@ -37,6 +37,7 @@ from arraygain import (
     optimal_geometry_integer,
 )
 from arraygain import cli
+from arraygain.optimize import _row_runs
 
 
 def _spread_deg(zsd: float, asd: float) -> AngularSpread:
@@ -297,6 +298,16 @@ def test_cli_optimize_billion_element_budget_is_fast():
     )
     assert result.returncode == 0, result.stderr
     assert "budget: 1000000000 elements" in result.stdout
+
+
+def test_row_runs_cover_the_sweep_geometries():
+    for n in [*range(1, 200), 720, 5040, 99_991, 100_000]:
+        runs = list(_row_runs(n))
+        assert [(rows, cols) for rows, span in runs for cols in span] == [
+            (n // cols, cols) for cols in range(1, n + 1)
+        ]
+        # each run is one rows value, and there are at most 2 sqrt(N) of them
+        assert len({rows for rows, _ in runs}) == len(runs) <= 2 * math.isqrt(n)
 
 
 def test_cli_sweep_streams_rows(tmp_path):

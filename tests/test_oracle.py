@@ -438,6 +438,13 @@ def test_mc_config_validation():
         McConfig(seed=2 ** 64)
 
 
+def test_mc_config_paths_fit_one_chunk():
+    # a chunk holds whole realizations, so one realization is at most a chunk
+    assert McConfig(n_paths=2**18, n_realizations=1).n_paths == 2**18
+    with pytest.raises(ValueError, match="n_paths must be at most 262144"):
+        McConfig(n_paths=2**18 + 1, n_realizations=1)
+
+
 # --- physical array factor ----------------------------------------------
 
 def test_array_factor_single_element_is_unity():
