@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager
+from functools import cache
 from itertools import chain, repeat
 from operator import eq, mul, truediv
 
@@ -133,14 +135,27 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
 _SWEEP_BLOCK = 4096
 
 
+@contextmanager
+def _output(path: str | None):
+    # stdout for None; else a file that a failure removes: no partial output
+    if path is None:
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        try:
+            yield out
+        except BaseException:
+            out.close()
+            os.remove(path)
+            raise
+
+
 def _write_sweep(path: str | None, element, spread, runs, winner: ArrayGeometry) -> None:
     # runs: (rows, range of cols) pairs, consumed once; path None is stdout.
     # Each gain takes the float operations of effective_gain_value and
     # linear_to_db in their order: the elevation width once per run, the
     # rest column by column, a block at a time
-    with nullcontext(sys.stdout) if path is None else open(
-        path, "w", encoding="utf-8", newline="\n"
-    ) as out:
+    with _output(path) as out:
         out.write(SWEEP_HEADER + "\n")
         bw_azim, asd = element.bw_azim_rad, spread.asd_rad
         for rows, cols in runs:
@@ -197,9 +212,10 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     lines.append(f"effective gain: {result.integer_gain.effective_gain_dbi:.6f} dBi")
     lines.append(f"nominal gain: {result.integer_gain.nominal_gain_dbi:.6f} dBi")
     lines.append(f"upper bound: {linear_to_db(result.bound_gain_linear):.6f} dBi")
-    print("\n".join(lines))
+    # the file first: a failure to write it leaves no report on stdout
     if args.csv is not None:
         _write_sweep(args.csv, element, spread, [(best.rows, range(best.cols, best.cols + 1))], best)
+    print("\n".join(lines))
     return 0
 
 
@@ -314,7 +330,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if conv_ok and mc_ok else 1
 
 
+@cache
 def _build_parser() -> _Parser:
+    # once per process: parse_args leaves the parser as it was
     parser = _Parser(
         prog="arraygain",
         description="Effective beamforming gain of planar arrays under angular spread: "

@@ -9,9 +9,8 @@ with equality exactly when the nominal beam matches the channel,
 bw_azim0 / bw_elev0 = asd / zsd.  That gives a closed-form real-valued
 optimum (rows grow with the azimuth spread: widening in azimuth is
 inevitable, so elements are better spent narrowing elevation) plus a
-gain ceiling no geometry can beat.  The integer winner is then found by
-a pruned scan around the closed-form cols, which also covers the
-degenerate zero-spread cases the closed form cannot.
+gain ceiling no geometry can beat.  A walk over runs of equal rows out
+from the closed-form cols then finds the integer winner, zero spread too.
 
 EIRP sizing inverts the regulatory cap EIRP = P_t + G_e + 20 log10(n)
 for the largest compliant element count.
@@ -20,6 +19,7 @@ for the largest compliant element count.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -151,15 +151,19 @@ def optimal_geometry_continuous(
     return ContinuousGeometry(rows_real=rows, cols_real=n_elements / rows)
 
 
+def _run(n: int, cols: int) -> range:
+    # the cols that share rows = N // cols with this one
+    rows = n // cols
+    return range(n // (rows + 1) + 1, n // rows + 1)
+
+
 def _row_runs(n: int) -> Iterator[tuple[int, range]]:
     # the geometries (N // cols, cols), cols = 1..N, as (rows, range of
     # cols) runs of equal rows in ascending cols: about 2 sqrt(N) of them
     cols = 1
     while cols <= n:
-        rows = n // cols
-        stop = n // rows + 1
-        yield rows, range(cols, stop)
-        cols = stop
+        yield n // cols, (run := _run(n, cols))
+        cols = run.stop
 
 
 def _select(scored: Iterable[tuple[float, int, int]]) -> tuple[float, int, int]:
@@ -175,44 +179,51 @@ def _select(scored: Iterable[tuple[float, int, int]]) -> tuple[float, int, int]:
     return best
 
 
-def _pruned_window(
-    n: int, element: ElementPattern, spread: AngularSpread, start: int
-) -> list[tuple[float, int, int]]:
-    # (gain, rows = N // cols, cols) in ascending cols, from a cols the
-    # scan over all of 1..N is bound to pick, through every cols that can
-    # come within the tie tolerance of the best
+def _scan_runs(n: int, element: ElementPattern, spread: AngularSpread, start: int) -> tuple[int, int]:
+    # what _select picks from 1..N ascending: rows never rises there, so only
+    # a gain clear of the pick (above it by more than the tolerance) replaces it
+    clear, near = 1.0 + _REL_TOL, 1.0 - 4.0 * _REL_TOL
 
     def envelope(cols: int) -> float:
-        # the gain at rows = N / cols >= N // cols: unimodal in cols, its
-        # squared denominator being const + a * cols**2 + b / cols**2
+        # the gain at rows = N / cols >= N // cols: unimodal in cols, and >= gain
         return effective_gain_value(element, n / cols, cols, spread)
 
-    def scored(cols: int) -> tuple[float, int, int]:
-        return effective_gain_value(element, n // cols, cols, spread), n // cols, cols
+    def gain(cols: int) -> float:
+        # does not fall as cols grows within a run: a run's best is its end
+        return effective_gain_value(element, n // cols, cols, spread)
 
-    # walk out from the peak of E; a walk stops once E is below the best
-    # gain by 4x the tolerance, far above the rounding of E and the gain
-    window: list[tuple[float, int, int]] = []
-    best = 0.0
-    for walk in (range(start, n + 1), range(start - 1, 0, -1)):
-        for cols in walk:
-            if envelope(cols) < best * (1.0 - 4.0 * _REL_TOL):
-                break
-            window.append(scored(cols))
-            best = max(best, window[-1][0])
-    window.sort(key=lambda candidate: candidate[2])
-    while (lo := window[0][2]) > 1:
-        # E rises below the window, so no cols there beats the ceiling; the
-        # first candidate clear of it and of all before it is picked by the
-        # full scan whatever came first, and the scans agree from there on
-        ceiling = envelope(lo - 1) * (1.0 + _REL_TOL)
-        for i, (gain, _, _) in enumerate(window):
-            if gain > ceiling * (1.0 + _REL_TOL):
-                return window[i:]
-            ceiling = max(ceiling, gain)
-        # a staircase of near-ties (tiny spreads, N with many divisors)
-        window[:0] = [scored(cols) for cols in range(max(1, lo - len(window)), lo)]
-    return window
+    # pass 1: runs out from E's peak until E is 4 tolerances (far above the
+    # rounding) below best; a best run end clear of all other gains is the pick
+    first = _run(n, start)
+    pair, lo, hi, pinned = [(0.0, 0), (gain(first[-1]), first[-1])], first.start, first.stop, False
+    while hi <= n and envelope(hi) >= pair[1][0] * near:
+        pair, hi = sorted([*pair, (gain(end := _run(n, hi)[-1]), end)])[1:], end + 1
+    while lo > 1 and envelope(lo - 1) >= pair[1][0] * near:
+        pair, lo = sorted([*pair, (gain(lo - 1), lo - 1)])[1:], _run(n, lo - 1).start
+    (second, _), (best, pick) = pair
+    if pick == 1 or best > max(second, gain(pick - 1)) * clear:
+        return n // pick, pick
+    # pass 2 from lo, raised to E's crossing in its run, E(lo - 1) bounding all
+    # below: the first gain clear of top and of all before it is picked whatever
+    # came first (pinned); then each pick is the first gain clear of the last
+    lo += bisect_left(range(lo, min(start, _run(n, lo)[-1])), best * near, key=envelope)
+    while not pinned:
+        top, pinned, cols, last, step = envelope(lo - 1) * clear if lo > 1 else 0.0, lo == 1, lo, 0, 1
+        while best > (bar := top * clear):
+            if cols > last:
+                end = gain(last := _run(n, cols)[-1])
+            if end <= bar:
+                top, cols = top if pinned else max(top, end), last + 1
+                continue
+            while (at := end if (probe := min(cols + step - 1, last)) == last else gain(probe)) <= bar:
+                cols, step = probe + 1, 2 * step
+            pick = cols + bisect_right(range(cols, probe), bar, key=gain)
+            at = at if pick == probe else gain(pick)
+            # step == 1: pick is the first cols of this search, with top above all before it
+            pinned = pinned or at > (top if step == 1 else max(top, gain(pick - 1))) * clear
+            top, cols, step = at, pick + 1, 1
+        lo = max(1, 2 * lo - hi)  # unpinned: start lower, below a staircase of near-ties
+    return n // pick, pick
 
 
 def optimal_geometry_integer(
@@ -225,9 +236,8 @@ def optimal_geometry_integer(
 
     Returns the winner of a scan of cols in [1, N], rows = floor(N / cols),
     where near-ties (1e-12 relative) go to the taller array; zero spread
-    gives (N, 1).  The gain is at most an envelope unimodal in cols, so only
-    cols around the closed-form optimum, out to where the envelope falls
-    clearly below the best gain, can matter, and only those are evaluated.
+    gives (N, 1).  It walks the about 2 sqrt(N) runs of equal rows in O(1)
+    memory: O(sqrt(N) log N) gain evaluations on ordinary and flat inputs.
 
     Parameters
     ----------
@@ -280,7 +290,7 @@ def optimal_geometry_integer(
         else:
             # zsd = 0: the envelope falls with cols; asd = 0: it rises
             start = 1 if spread.zsd_rad == 0.0 else n_elements
-        _, rows, cols = _select(_pruned_window(n_elements, element, spread, start))
+        rows, cols = _scan_runs(n_elements, element, spread, start)
     best_geom = ArrayGeometry(rows=rows, cols=cols)
     return OptimizationResult(
         continuous=continuous,

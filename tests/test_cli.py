@@ -104,6 +104,16 @@ def test_optimize_csv_winner(tmp_path):
     assert row.startswith("32,8,") and row.endswith(",1")
 
 
+def test_optimize_csv_failure_prints_no_report():
+    result = _run(
+        "optimize", "--elements", "256", "--element-gain-dbi", "5",
+        "--asd-deg", "22", "--zsd-deg", "5", "--csv", "/no/such/dir/x.csv",
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error[io]: ")
+
+
 # --- sweep --------------------------------------------------------------
 
 def test_sweep_reference_rows():
@@ -329,7 +339,11 @@ def test_sweep_zero_gain_fails_like_the_reference(values, n, geometries, to_file
     result = _run(*argv)
     assert result.returncode == 1
     assert result.stderr == error
-    assert (out.read_text() if to_file else result.stdout) == want
+    if to_file:
+        # the rows written before the failure are not left behind
+        assert result.stdout == "" and not out.exists()
+    else:
+        assert result.stdout == want
 
 
 def test_sweep_long_run_is_written_in_blocks(tmp_path):
@@ -407,6 +421,17 @@ def test_estimate_aperture_scaled_gains(tmp_path):
     assert result.returncode == 0
     assert "normalized asd squared: 0.000000" in _lines(result)
     assert "normalized zsd squared: 0.000000" in _lines(result)
+
+
+def test_estimate_in_process_calls_do_not_share_flags(tmp_path, capsys):
+    # main builds its parser once per process; a flag given to one call
+    # must not become the next call's default
+    csv = tmp_path / "m.csv"
+    _forward_csv(csv, zsd_sq=0.0009, asd_sq=0.04)
+    calls = [["estimate", str(csv), "--baseline-index", "1"], ["estimate", str(csv)]]
+    for argv in calls:
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == _run(*argv).stdout
 
 
 def test_estimate_unidentifiable_axis(tmp_path):

@@ -1,11 +1,13 @@
-"""Geometry optimizer: bound, closed form, pruned integer scan, EIRP sizing.
+"""Geometry optimizer: bound, closed form, integer scan, EIRP sizing.
 
 The load-bearing checks:
   - the closed-form optimum attains the bound (AM-GM equality) and
     satisfies the matching condition to 1e-12;
-  - the pruned scan matches an independent scan over every feasible
-    (rows, cols) pair, and picks the same winner as the exhaustive scan
-    over every cols in 1..N;
+  - the walk over runs of equal rows matches an independent scan over
+    every feasible (rows, cols) pair, and picks the same winner as the
+    exhaustive scan over every cols in 1..N, flat envelopes included;
+  - the walk keeps O(1) state: a flat envelope at N = 10**6 traces under
+    1 MiB, and a billion-element one answers in seconds;
   - the two published optima, 32x8 for (22, 5) degrees of spread and
     85x3 for (14, 0.6), come out of the scan.
 """
@@ -275,6 +277,55 @@ def test_pruned_scan_matches_exhaustive_scan_on_dense_near_ties():
         best = optimal_geometry_integer(n, element, spread).integer_best
         assert (best.rows, best.cols) == _exhaustive_best(n, element, spread)[1:]
 
+    # flat envelopes, where runs of near-ties span much of 1..N: a 300 dBi
+    # element, whose nominal widths vanish against any spread, or one of
+    # 60-150 dBi, whose widths leave ties a few tolerances apart; asd = 0
+    # with zsd = 1e-5 rad; spreads of 1e-7 rad
+    flat = np.random.default_rng(300)
+    for i in range(200):
+        n = int(flat.choice([720, 2520, 5040]))
+        if i % 4 < 2:
+            gain_dbi = 300.0 if i % 4 == 0 else float(flat.uniform(60.0, 150.0))
+            element = element_pattern_from_gain(gain_dbi)
+            spread = AngularSpread(
+                zsd_rad=float(flat.uniform(0.0, 0.3)), asd_rad=float(flat.uniform(0.0, 0.7))
+            )
+        else:
+            element = ElementPattern(
+                bw_elev_rad=float(flat.uniform(0.05, 1.5)),
+                bw_azim_rad=float(flat.uniform(0.05, 1.5)),
+            )
+            spread = AngularSpread(zsd_rad=1e-5, asd_rad=0.0) if i % 4 == 2 else AngularSpread(
+                zsd_rad=float(flat.choice([0.0, 1e-7])), asd_rad=float(flat.choice([1e-7, 0.0]))
+            )
+        best = optimal_geometry_integer(n, element, spread).integer_best
+        assert (best.rows, best.cols) == _exhaustive_best(n, element, spread)[1:]
+
+    # a pick past the first cols of its bisection pins the scan only if it
+    # is also clear of the gain just before it; these two are not
+    for n, width, zsd, asd in (
+        (5177, 2.688646142563931e-05, 0.31044571639174146, 0.01366213607663258),
+        (754, 5.349066045248822e-06, 0.20194573738074034, 0.012693589738565936),
+    ):
+        element = ElementPattern(bw_elev_rad=width, bw_azim_rad=width)
+        spread = AngularSpread(zsd_rad=zsd, asd_rad=asd)
+        best = optimal_geometry_integer(n, element, spread).integer_best
+        assert (best.rows, best.cols) == _exhaustive_best(n, element, spread)[1:]
+
+
+def test_flat_envelope_scan_keeps_constant_memory():
+    # every geometry of a 300 dBi element ties within the tolerance: a scan
+    # that lists its candidates holds the whole budget (130 MiB traced)
+    element = element_pattern_from_gain(300.0)
+    tracemalloc.start()
+    try:
+        result = optimal_geometry_integer(10**6, element, _spread_deg(5.0, 10.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (result.integer_best.rows, result.integer_best.cols) == (10**6, 1)
+    assert peak < 2**20
+
 
 def test_integer_large_budget_is_a_local_optimum_under_the_bound():
     element = element_pattern_from_gain(5.0)
@@ -290,14 +341,17 @@ def test_integer_large_budget_is_a_local_optimum_under_the_bound():
 
 
 def test_cli_optimize_billion_element_budget_is_fast():
-    # the exhaustive scan would take about 40 minutes here
-    result = subprocess.run(
-        [sys.executable, "-m", "arraygain", "optimize", "--elements", "1000000000",
-         "--element-gain-dbi", "5", "--asd-deg", "22", "--zsd-deg", "5"],
-        capture_output=True, text=True, timeout=10,
-    )
-    assert result.returncode == 0, result.stderr
-    assert "budget: 1000000000 elements" in result.stdout
+    # the exhaustive scan would take about 40 minutes for either; the 300 dBi
+    # element makes the envelope flat, so every geometry is a near-tie
+    for gain_dbi, asd_deg, winner in (("5", "22", "66600 x 15015"), ("300", "10", "1000000000 x 1")):
+        result = subprocess.run(
+            [sys.executable, "-m", "arraygain", "optimize", "--elements", "1000000000",
+             "--element-gain-dbi", gain_dbi, "--asd-deg", asd_deg, "--zsd-deg", "5"],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "budget: 1000000000 elements" in result.stdout
+        assert f"integer optimum: {winner} (" in result.stdout
 
 
 def test_row_runs_cover_the_sweep_geometries():
