@@ -22,8 +22,9 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import stat
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from functools import cache
 from itertools import chain, repeat
 from operator import eq, mul, truediv
@@ -137,16 +138,25 @@ _SWEEP_BLOCK = 4096
 
 @contextmanager
 def _output(path: str | None):
-    # stdout for None; else a file that a failure removes: no partial output
+    # stdout for None; else the file at path, removed again when writing or
+    # closing it fails (an interrupt too), so no partial output is left.
+    # Only a regular file that path names itself is removed: never a device,
+    # a FIFO or a symlink, so /dev/null and /dev/stdout stay
     if path is None:
         yield sys.stdout
         return
     with open(path, "w", encoding="utf-8", newline="\n") as out:
+        opened = os.fstat(out.fileno())
         try:
             yield out
+            out.close()  # the last flush can fail too (a full disk)
         except BaseException:
-            out.close()
-            os.remove(path)
+            with suppress(OSError):
+                out.close()
+            # a failed cleanup must not hide the failure that caused it
+            with suppress(OSError):
+                if stat.S_ISREG(opened.st_mode) and os.path.samestat(opened, os.lstat(path)):
+                    os.remove(path)
             raise
 
 

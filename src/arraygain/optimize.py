@@ -180,9 +180,11 @@ def _select(scored: Iterable[tuple[float, int, int]]) -> tuple[float, int, int]:
 
 
 def _scan_runs(n: int, element: ElementPattern, spread: AngularSpread, start: int) -> tuple[int, int]:
-    # what _select picks from 1..N ascending: rows never rises there, so only
-    # a gain clear of the pick (above it by more than the tolerance) replaces it
-    clear, near = 1.0 + _REL_TOL, 1.0 - 4.0 * _REL_TOL
+    # what _select picks from cols 1..N ascending: rows never rises there, so
+    # only a gain clear of the pick (above it by more than the tolerance)
+    # replaces it
+    clear = 1.0 + _REL_TOL
+    near = 1.0 - 4.0 * _REL_TOL
 
     def envelope(cols: int) -> float:
         # the gain at rows = N / cols >= N // cols: unimodal in cols, and >= gain
@@ -193,36 +195,83 @@ def _scan_runs(n: int, element: ElementPattern, spread: AngularSpread, start: in
         return effective_gain_value(element, n // cols, cols, spread)
 
     # pass 1: runs out from E's peak until E is 4 tolerances (far above the
-    # rounding) below best; a best run end clear of all other gains is the pick
+    # rounding) below the best run end, keeping the best end and the runner-up
     first = _run(n, start)
-    pair, lo, hi, pinned = [(0.0, 0), (gain(first[-1]), first[-1])], first.start, first.stop, False
-    while hi <= n and envelope(hi) >= pair[1][0] * near:
-        pair, hi = sorted([*pair, (gain(end := _run(n, hi)[-1]), end)])[1:], end + 1
-    while lo > 1 and envelope(lo - 1) >= pair[1][0] * near:
-        pair, lo = sorted([*pair, (gain(lo - 1), lo - 1)])[1:], _run(n, lo - 1).start
-    (second, _), (best, pick) = pair
+    lo, hi = first.start, first.stop
+    pick = first[-1]
+    best = gain(pick)
+    second = 0.0
+
+    def consider(end: int) -> None:
+        nonlocal pick, best, second
+        value = gain(end)
+        if value > best:
+            pick, best, second = end, value, best
+        else:
+            second = max(second, value)
+
+    while hi <= n and envelope(hi) >= best * near:
+        end = _run(n, hi)[-1]
+        consider(end)
+        hi = end + 1
+    while lo > 1 and envelope(lo - 1) >= best * near:
+        consider(lo - 1)
+        lo = _run(n, lo - 1).start
+    # a best end clear of every other gain is picked whatever came before it
     if pick == 1 or best > max(second, gain(pick - 1)) * clear:
         return n // pick, pick
-    # pass 2 from lo, raised to E's crossing in its run, E(lo - 1) bounding all
-    # below: the first gain clear of top and of all before it is picked whatever
-    # came first (pinned); then each pick is the first gain clear of the last
-    lo += bisect_left(range(lo, min(start, _run(n, lo)[-1])), best * near, key=envelope)
-    while not pinned:
-        top, pinned, cols, last, step = envelope(lo - 1) * clear if lo > 1 else 0.0, lo == 1, lo, 0, 1
-        while best > (bar := top * clear):
+
+    def climb(lo: int) -> tuple[int, bool]:
+        # the picks from lo up, while best can still be beaten.  The first
+        # pick clear of every gain before it is the full scan's pick whatever
+        # came before: it pins the scan.  Until then top bounds every gain
+        # below cols (E(lo - 1) bounds all below lo); after it, top is the
+        # last pick and each pick is the first gain clear of it
+        pinned = lo == 1
+        top = 0.0 if pinned else envelope(lo - 1) * clear
+        pick = cols = lo
+        last = 0
+        while best > top * clear:
+            bar = top * clear
             if cols > last:
-                end = gain(last := _run(n, cols)[-1])
+                rows = n // cols
+                last = n // rows  # the end of its run, as in _run
+                end = effective_gain_value(element, rows, last, spread)
             if end <= bar:
-                top, cols = top if pinned else max(top, end), last + 1
+                # nothing left in this run clears the bar
+                if not pinned:
+                    top = max(top, end)
+                cols = last + 1
                 continue
-            while (at := end if (probe := min(cols + step - 1, last)) == last else gain(probe)) <= bar:
-                cols, step = probe + 1, 2 * step
+            # gallop up the run to a gain above the bar, then bisect back
+            search = probe = cols
+            step = 1
+            at = end if probe == last else gain(probe)
+            while at <= bar:
+                cols = probe + 1
+                step *= 2
+                probe = min(cols + step - 1, last)
+                at = end if probe == last else gain(probe)
             pick = cols + bisect_right(range(cols, probe), bar, key=gain)
-            at = at if pick == probe else gain(pick)
-            # step == 1: pick is the first cols of this search, with top above all before it
-            pinned = pinned or at > (top if step == 1 else max(top, gain(pick - 1))) * clear
-            top, cols, step = at, pick + 1, 1
-        lo = max(1, 2 * lo - hi)  # unpinned: start lower, below a staircase of near-ties
+            if pick != probe:
+                at = gain(pick)
+            if not pinned:
+                # the gains from search to pick - 1 are at most gain(pick - 1)
+                below = top if pick == search else max(top, gain(pick - 1))
+                pinned = at > below * clear
+            top = at
+            cols = pick + 1
+        return pick, pinned
+
+    # pass 2 from lo, raised to where E crosses the stop bar in its run
+    lo += bisect_left(range(lo, min(start, _run(n, lo)[-1])), best * near, key=envelope)
+    pick, pinned = climb(lo)
+    while not pinned:
+        # a staircase of near-ties: restart twice as far below hi.  Holding
+        # no gains, each climb walks its runs again, at most about as many
+        # as the last climb walks in all
+        lo = max(1, 2 * lo - hi)
+        pick, pinned = climb(lo)
     return n // pick, pick
 
 
@@ -237,7 +286,10 @@ def optimal_geometry_integer(
     Returns the winner of a scan of cols in [1, N], rows = floor(N / cols),
     where near-ties (1e-12 relative) go to the taller array; zero spread
     gives (N, 1).  It walks the about 2 sqrt(N) runs of equal rows in O(1)
-    memory: O(sqrt(N) log N) gain evaluations on ordinary and flat inputs.
+    memory, at a cost of O(sqrt(N) + P log N) gain evaluations.  P counts
+    the picks it follows, each more than 1e-12 above the last.  P is not
+    bounded by N: gains that climb a long run in steps just over the
+    tolerance make it large, so the worst case is open.
 
     Parameters
     ----------

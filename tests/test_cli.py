@@ -7,10 +7,15 @@ format, the sweep CSV round trip, and the error-code contract
 
 from __future__ import annotations
 
+import errno
+import io
 import math
+import os
 import random
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -344,6 +349,89 @@ def test_sweep_zero_gain_fails_like_the_reference(values, n, geometries, to_file
         assert result.stdout == "" and not out.exists()
     else:
         assert result.stdout == want
+
+
+# a sweep that fails after 2,500 rows: rows = 1 overflows the width product
+_FAILING_SWEEP = [
+    "sweep", "--elements", "5000", "--bw-elev-deg", "1e150", "--bw-azim-deg", "1",
+    "--asd-deg", "1e162", "--zsd-deg", "0",
+]
+_ZERO_GAIN = "error[input]: cannot express 0.0 in dB, need a positive ratio\n"
+
+
+def test_sweep_failure_keeps_a_fifo(tmp_path, capsys):
+    # only a regular file is removed; a FIFO, like a device, stays
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    status = cli.main([*_FAILING_SWEEP, "--out", str(fifo)])
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert status == 1 and capsys.readouterr().err == _ZERO_GAIN
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert received[0].count("\n") == 2501
+
+
+def test_sweep_failure_keeps_a_symlink(tmp_path, capsys):
+    target = tmp_path / "rows.csv"
+    target.write_text("")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert cli.main([*_FAILING_SWEEP, "--out", str(link)]) == 1
+    assert capsys.readouterr().err == _ZERO_GAIN
+    assert link.is_symlink() and target.is_file()
+
+
+def test_sweep_failure_removes_no_device(monkeypatch, capsys):
+    # os.remove is recorded, not run, so a fault here cannot delete the device
+    removed = []
+    monkeypatch.setattr(os, "remove", removed.append)
+    assert cli.main([*_FAILING_SWEEP, "--out", os.devnull]) == 1
+    assert capsys.readouterr().err == _ZERO_GAIN
+    assert removed == []
+
+
+def test_failed_cleanup_keeps_the_original_error(tmp_path, monkeypatch, capsys):
+    # a non-root caller may not remove the file: the sweep's own error still shows
+    def refuse(path):
+        raise PermissionError(errno.EACCES, "Permission denied", path)
+
+    monkeypatch.setattr(os, "remove", refuse)
+    assert cli.main([*_FAILING_SWEEP, "--out", str(tmp_path / "rows.csv")]) == 1
+    assert capsys.readouterr().err == _ZERO_GAIN
+
+
+def test_interrupted_write_removes_the_file(tmp_path):
+    out = tmp_path / "rows.csv"
+    with pytest.raises(KeyboardInterrupt):
+        with cli._output(str(out)) as fh:
+            fh.write("rows,cols,effective_gain_dbi,is_optimum\n")
+            raise KeyboardInterrupt
+    assert not out.exists()
+
+
+def test_failed_last_flush_removes_the_file(tmp_path, monkeypatch, capsys):
+    class FullDisk(io.TextIOWrapper):
+        # a file whose closing flush fails, as on a full disk
+        def close(self):
+            if not self.closed:
+                super().close()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+    def full_disk(path, mode, **kwargs):
+        return FullDisk(open(path, mode + "b"), **kwargs)
+
+    monkeypatch.setattr(cli, "open", full_disk, raising=False)
+    out = tmp_path / "rows.csv"
+    status = cli.main([
+        "sweep", "--elements", "16", "--element-gain-dbi", "5",
+        "--asd-deg", "22", "--zsd-deg", "5", "--out", str(out),
+    ])
+    assert status == 1
+    assert capsys.readouterr().err == "error[io]: [Errno 28] No space left on device\n"
+    assert not out.exists()
 
 
 def test_sweep_long_run_is_written_in_blocks(tmp_path):
