@@ -15,123 +15,75 @@ identical elements at half-wavelength spacing:
 
 The command line front end lives in ``arraygain.cli``.
 
-Only ``oracle`` needs numpy, and it is imported lazily: its names
-(``grid_for``, ``McConfig`` and the rest) resolve from this package on
-first access, so ``import arraygain`` and the ``optimize``, ``sweep`` and
-``estimate`` subcommands run on the standard library alone.
+Every public name resolves on first access through a table of the
+module it lives in (PEP 562), and only then is that module imported: so
+``import arraygain`` loads nothing more, and the ``optimize``, ``sweep``
+and ``estimate`` subcommands run on the standard library alone.  Only
+``oracle`` needs numpy.
 """
 
 from __future__ import annotations
 
-from .beam import (
-    AngularSpread,
-    ArrayGeometry,
-    ElementPattern,
-    GainReport,
-    effective_gain,
-    effective_gain_value,
-    element_pattern_from_gain,
-    nominal_beamwidths,
-)
-from .errors import (
-    ArrayGainError,
-    DegenerateElementError,
-    DegenerateSpreadError,
-    EirpTooLowError,
-    GridResolutionError,
-    IndeterminatePairError,
-    InvalidPairError,
-    MeasurementError,
-    ScenarioError,
-    UnidentifiableSpreadError,
-)
-from .estimate import (
-    SpreadEstimate,
-    SubArrayGain,
-    estimate_asd_sq_pair,
-    estimate_ls,
-    estimate_zsd_sq_pair,
-    predict_subarray_gain,
-    relative_gains_from_power,
-)
-from .optimize import (
-    ContinuousGeometry,
-    OptimizationResult,
-    gain_upper_bound,
-    max_elements_for_eirp,
-    optimal_geometry_continuous,
-    optimal_geometry_integer,
-)
-from .scenario import MeasurementRecord, Scenario, load_measurements_csv, parse_scenario_file
-
 __version__ = "0.1.0"
 
-# oracle needs numpy, so its names load on first access (PEP 562)
-_ORACLE_NAMES = frozenset({
-    "AngularGrid",
-    "McConfig",
-    "SampledPattern",
-    "convolve_effective_pattern",
-    "fitted_rms_widths",
-    "gaussian_pattern_sampled",
-    "grid_for",
-    "monte_carlo_effective_gain",
-    "upa_array_factor_beamwidth",
-})
+# each public name and the module it lives in: the table behind __all__
+_HOMES = {
+    "AngularSpread": "beam",
+    "ArrayGeometry": "beam",
+    "ElementPattern": "beam",
+    "GainReport": "beam",
+    "effective_gain": "beam",
+    "effective_gain_value": "beam",
+    "element_pattern_from_gain": "beam",
+    "nominal_beamwidths": "beam",
+    "ArrayGainError": "errors",
+    "DegenerateElementError": "errors",
+    "DegenerateSpreadError": "errors",
+    "EirpTooLowError": "errors",
+    "GridResolutionError": "errors",
+    "IndeterminatePairError": "errors",
+    "InvalidPairError": "errors",
+    "MeasurementError": "errors",
+    "ScenarioError": "errors",
+    "UnidentifiableSpreadError": "errors",
+    "SpreadEstimate": "estimate",
+    "SubArrayGain": "estimate",
+    "estimate_asd_sq_pair": "estimate",
+    "estimate_ls": "estimate",
+    "estimate_zsd_sq_pair": "estimate",
+    "predict_subarray_gain": "estimate",
+    "relative_gains_from_power": "estimate",
+    "ContinuousGeometry": "optimize",
+    "OptimizationResult": "optimize",
+    "gain_upper_bound": "optimize",
+    "max_elements_for_eirp": "optimize",
+    "optimal_geometry_continuous": "optimize",
+    "optimal_geometry_integer": "optimize",
+    "AngularGrid": "oracle",
+    "McConfig": "oracle",
+    "SampledPattern": "oracle",
+    "convolve_effective_pattern": "oracle",
+    "fitted_rms_widths": "oracle",
+    "gaussian_pattern_sampled": "oracle",
+    "grid_for": "oracle",
+    "monte_carlo_effective_gain": "oracle",
+    "upa_array_factor_beamwidth": "oracle",
+    "MeasurementRecord": "scenario",
+    "Scenario": "scenario",
+    "load_measurements_csv": "scenario",
+    "parse_scenario_file": "scenario",
+}
 
 
 def __getattr__(name: str):
-    if name in _ORACLE_NAMES:
-        from . import oracle
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
 
-        value = getattr(oracle, name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{home}", __name__), name)
+    globals()[name] = value
+    return value
 
-__all__ = [
-    "AngularGrid",
-    "AngularSpread",
-    "ArrayGainError",
-    "ArrayGeometry",
-    "ContinuousGeometry",
-    "DegenerateElementError",
-    "DegenerateSpreadError",
-    "EirpTooLowError",
-    "ElementPattern",
-    "GainReport",
-    "GridResolutionError",
-    "IndeterminatePairError",
-    "InvalidPairError",
-    "McConfig",
-    "MeasurementError",
-    "MeasurementRecord",
-    "OptimizationResult",
-    "SampledPattern",
-    "Scenario",
-    "ScenarioError",
-    "SpreadEstimate",
-    "SubArrayGain",
-    "UnidentifiableSpreadError",
-    "convolve_effective_pattern",
-    "effective_gain",
-    "effective_gain_value",
-    "element_pattern_from_gain",
-    "estimate_asd_sq_pair",
-    "estimate_ls",
-    "estimate_zsd_sq_pair",
-    "fitted_rms_widths",
-    "gain_upper_bound",
-    "gaussian_pattern_sampled",
-    "grid_for",
-    "load_measurements_csv",
-    "max_elements_for_eirp",
-    "monte_carlo_effective_gain",
-    "nominal_beamwidths",
-    "optimal_geometry_continuous",
-    "optimal_geometry_integer",
-    "parse_scenario_file",
-    "predict_subarray_gain",
-    "relative_gains_from_power",
-    "upa_array_factor_beamwidth",
-]
+
+__all__ = sorted(_HOMES)

@@ -27,16 +27,15 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import DegenerateElementError, check_positive_int
 from .units import db_to_linear, linear_to_db
+from .value import Value, setfield
 
 _REL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ElementPattern:
+class ElementPattern(Value):
     """RMS beamwidths of a Gaussian beam, radians.
 
     The beam may be one array element's, a whole array's nominal beam
@@ -53,19 +52,20 @@ class ElementPattern:
         Azimuth RMS beamwidth, > 0.
     """
 
-    bw_elev_rad: float
-    bw_azim_rad: float
+    __slots__ = ("bw_elev_rad", "bw_azim_rad")
 
-    def __post_init__(self) -> None:
-        for name, value in (("bw_elev_rad", self.bw_elev_rad), ("bw_azim_rad", self.bw_azim_rad)):
+    def __init__(self, bw_elev_rad: float, bw_azim_rad: float) -> None:
+        for name, value in (("bw_elev_rad", bw_elev_rad), ("bw_azim_rad", bw_azim_rad)):
             if not (math.isfinite(value) and value > 0.0):
                 raise DegenerateElementError(f"degenerate element: {name} = {value!r}")
-        product = self.bw_elev_rad * self.bw_azim_rad
+        product = bw_elev_rad * bw_azim_rad
         if product == 0.0 or 2.0 / product == math.inf:
             raise DegenerateElementError(
                 "degenerate element: gain beyond float range at "
-                f"{self.bw_elev_rad!r} x {self.bw_azim_rad!r} rad"
+                f"{bw_elev_rad!r} x {bw_azim_rad!r} rad"
             )
+        setfield(self, "bw_elev_rad", bw_elev_rad)
+        setfield(self, "bw_azim_rad", bw_azim_rad)
 
     @property
     def gain_linear(self) -> float:
@@ -73,41 +73,40 @@ class ElementPattern:
         return 2.0 / (self.bw_elev_rad * self.bw_azim_rad)
 
 
-@dataclass(frozen=True)
-class ArrayGeometry:
+class ArrayGeometry(Value):
     """Element counts of a planar array: rows vertically, cols horizontally."""
 
-    rows: int
-    cols: int
+    __slots__ = ("rows", "cols")
 
-    def __post_init__(self) -> None:
-        check_positive_int("rows", self.rows)
-        check_positive_int("cols", self.cols)
+    def __init__(self, rows: int, cols: int) -> None:
+        check_positive_int("rows", rows)
+        check_positive_int("cols", cols)
+        setfield(self, "rows", rows)
+        setfield(self, "cols", cols)
 
     @property
     def n_elements(self) -> int:
         return self.rows * self.cols
 
 
-@dataclass(frozen=True)
-class AngularSpread:
+class AngularSpread(Value):
     """Channel RMS angular spreads, radians: zsd in elevation, asd in azimuth."""
 
-    zsd_rad: float
-    asd_rad: float
+    __slots__ = ("zsd_rad", "asd_rad")
 
-    def __post_init__(self) -> None:
-        for name, value in (("zsd_rad", self.zsd_rad), ("asd_rad", self.asd_rad)):
+    def __init__(self, zsd_rad: float, asd_rad: float) -> None:
+        for name, value in (("zsd_rad", zsd_rad), ("asd_rad", asd_rad)):
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        setfield(self, "zsd_rad", zsd_rad)
+        setfield(self, "asd_rad", asd_rad)
 
     @property
     def is_zero(self) -> bool:
         return self.zsd_rad == 0.0 and self.asd_rad == 0.0
 
 
-@dataclass(frozen=True)
-class GainReport:
+class GainReport(Value):
     """Nominal gain, effective gain, and upper bound for one geometry.
 
     The effective gain can never exceed the nominal gain (spread only
@@ -115,18 +114,34 @@ class GainReport:
     both orderings to 1e-12 relative.
     """
 
-    nominal_gain_linear: float
-    effective_gain_linear: float
-    upper_bound_linear: float
-    nominal_gain_dbi: float
-    effective_gain_dbi: float
-    upper_bound_dbi: float
+    __slots__ = (
+        "nominal_gain_linear",
+        "effective_gain_linear",
+        "upper_bound_linear",
+        "nominal_gain_dbi",
+        "effective_gain_dbi",
+        "upper_bound_dbi",
+    )
 
-    def __post_init__(self) -> None:
-        if self.effective_gain_linear > self.nominal_gain_linear * (1.0 + _REL_TOL):
+    def __init__(
+        self,
+        nominal_gain_linear: float,
+        effective_gain_linear: float,
+        upper_bound_linear: float,
+        nominal_gain_dbi: float,
+        effective_gain_dbi: float,
+        upper_bound_dbi: float,
+    ) -> None:
+        if effective_gain_linear > nominal_gain_linear * (1.0 + _REL_TOL):
             raise ValueError("effective gain exceeds nominal gain")
-        if self.effective_gain_linear > self.upper_bound_linear * (1.0 + _REL_TOL):
+        if effective_gain_linear > upper_bound_linear * (1.0 + _REL_TOL):
             raise ValueError("effective gain exceeds the upper bound")
+        setfield(self, "nominal_gain_linear", nominal_gain_linear)
+        setfield(self, "effective_gain_linear", effective_gain_linear)
+        setfield(self, "upper_bound_linear", upper_bound_linear)
+        setfield(self, "nominal_gain_dbi", nominal_gain_dbi)
+        setfield(self, "effective_gain_dbi", effective_gain_dbi)
+        setfield(self, "upper_bound_dbi", upper_bound_dbi)
 
     @classmethod
     def from_linear(cls, nominal: float, effective: float, bound: float) -> GainReport:

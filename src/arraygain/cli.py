@@ -15,6 +15,9 @@ field order, 6-decimal floats, LF line endings.
 its memory stays flat in N; each gain takes the float operations of
 ``effective_gain_value`` and ``linear_to_db`` in order, so the bytes are
 a row-by-row writer's.
+
+Each subcommand imports the modules it runs when it runs, so a cold
+start compiles and loads only those.
 """
 
 from __future__ import annotations
@@ -31,8 +34,6 @@ from operator import eq, mul, truediv
 
 from .beam import ArrayGeometry, effective_gain, nominal_beamwidths
 from .errors import ArrayGainError, OracleUnavailableError, ScenarioError
-from .estimate import estimate_ls, predict_subarray_gain, relative_gains_from_power
-from .optimize import _row_runs, optimal_geometry_integer
 from .scenario import (
     Scenario,
     load_measurements_csv,
@@ -198,6 +199,8 @@ def _write_sweep(path: str | None, element, spread, runs, winner: ArrayGeometry)
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
+    from .optimize import optimal_geometry_integer
+
     scenario = _scenario_from_args(args)
     element = scenario.element()
     spread = scenario.spread()
@@ -230,6 +233,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .optimize import _row_runs, optimal_geometry_integer
+
     scenario = _scenario_from_args(args)
     element = scenario.element()
     spread = scenario.spread()
@@ -246,6 +251,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    from .estimate import estimate_ls, predict_subarray_gain, relative_gains_from_power
+
     records = load_measurements_csv(args.measurements_csv)
     gains = relative_gains_from_power(records, args.baseline_index)
     result = estimate_ls(gains)

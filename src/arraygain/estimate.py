@@ -23,31 +23,30 @@ any consistent relative scale, e.g. from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .beam import AngularSpread, ElementPattern
 from .errors import IndeterminatePairError, InvalidPairError, UnidentifiableSpreadError
 from .errors import check_positive_float, check_positive_int
+from .value import Value, setfield
 
 _RATIO_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SubArrayGain:
+class SubArrayGain(Value):
     """One measured effective gain for an n x k sub-array (relative scale ok)."""
 
-    rows: int
-    cols: int
-    gain_linear: float
+    __slots__ = ("rows", "cols", "gain_linear")
 
-    def __post_init__(self) -> None:
-        check_positive_int("rows", self.rows)
-        check_positive_int("cols", self.cols)
-        check_positive_float("gain_linear", self.gain_linear)
+    def __init__(self, rows: int, cols: int, gain_linear: float) -> None:
+        check_positive_int("rows", rows)
+        check_positive_int("cols", cols)
+        check_positive_float("gain_linear", gain_linear)
+        setfield(self, "rows", rows)
+        setfield(self, "cols", cols)
+        setfield(self, "gain_linear", gain_linear)
 
 
-@dataclass(frozen=True)
-class SpreadEstimate:
+class SpreadEstimate(Value):
     """Normalized squared spreads with the pair bookkeeping behind them.
 
     asd_over_bhe_sq is (asd / element azimuth beamwidth)**2 and
@@ -55,16 +54,32 @@ class SpreadEstimate:
     Skipped counts record indeterminate pairs dropped from the fit.
     """
 
-    asd_over_bhe_sq: float
-    zsd_over_bve_sq: float
-    n_pairs_asd: int
-    n_pairs_zsd: int
-    n_skipped_asd: int = 0
-    n_skipped_zsd: int = 0
+    __slots__ = (
+        "asd_over_bhe_sq",
+        "zsd_over_bve_sq",
+        "n_pairs_asd",
+        "n_pairs_zsd",
+        "n_skipped_asd",
+        "n_skipped_zsd",
+    )
 
-    def __post_init__(self) -> None:
-        if self.asd_over_bhe_sq < 0.0 or self.zsd_over_bve_sq < 0.0:
+    def __init__(
+        self,
+        asd_over_bhe_sq: float,
+        zsd_over_bve_sq: float,
+        n_pairs_asd: int,
+        n_pairs_zsd: int,
+        n_skipped_asd: int = 0,
+        n_skipped_zsd: int = 0,
+    ) -> None:
+        if asd_over_bhe_sq < 0.0 or zsd_over_bve_sq < 0.0:
             raise ValueError("spread estimates must be clamped to >= 0")
+        setfield(self, "asd_over_bhe_sq", asd_over_bhe_sq)
+        setfield(self, "zsd_over_bve_sq", zsd_over_bve_sq)
+        setfield(self, "n_pairs_asd", n_pairs_asd)
+        setfield(self, "n_pairs_zsd", n_pairs_zsd)
+        setfield(self, "n_skipped_asd", n_skipped_asd)
+        setfield(self, "n_skipped_zsd", n_skipped_zsd)
 
     def absolute_spread(self, element: ElementPattern) -> AngularSpread:
         """Denormalize to radians using the element's beamwidths."""

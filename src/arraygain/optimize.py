@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .beam import (
     _REL_TOL,
@@ -40,41 +39,53 @@ from .errors import (
     EirpTooLowError,
     check_positive_float,
 )
+from .value import Value, setfield
 
 
-@dataclass(frozen=True)
-class ContinuousGeometry:
+class ContinuousGeometry(Value):
     """Real-valued optimizer output before integer refinement.
 
     rows_real * cols_real equals the element budget it was solved for;
     the integer scan decides how to spend the fractional parts.
     """
 
-    rows_real: float
-    cols_real: float
+    __slots__ = ("rows_real", "cols_real")
 
-    def __post_init__(self) -> None:
-        check_positive_float("rows_real", self.rows_real)
-        check_positive_float("cols_real", self.cols_real)
+    def __init__(self, rows_real: float, cols_real: float) -> None:
+        check_positive_float("rows_real", rows_real)
+        check_positive_float("cols_real", cols_real)
+        setfield(self, "rows_real", rows_real)
+        setfield(self, "cols_real", cols_real)
 
     @property
     def n_elements(self) -> float:
         return self.rows_real * self.cols_real
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
+class OptimizationResult(Value):
     """Scan winner with its gain report, the budget-level bound, and the
     continuous solution when one exists (None when a spread is zero)."""
 
-    continuous: ContinuousGeometry | None
-    integer_best: ArrayGeometry
-    integer_gain: GainReport
-    bound_gain_linear: float
+    __slots__ = ("continuous", "integer_best", "integer_gain", "bound_gain_linear")
 
-    def __post_init__(self) -> None:
-        if self.integer_gain.effective_gain_linear > self.bound_gain_linear * (1.0 + _REL_TOL):
+    def __init__(
+        self,
+        continuous: ContinuousGeometry | None,
+        integer_best: ArrayGeometry,
+        integer_gain: GainReport,
+        bound_gain_linear: float,
+    ) -> None:
+        if integer_gain.effective_gain_linear > bound_gain_linear * (1.0 + _REL_TOL):
             raise ValueError("integer-geometry gain exceeds the budget-level bound")
+        setfield(self, "continuous", continuous)
+        setfield(self, "integer_best", integer_best)
+        setfield(self, "integer_gain", integer_gain)
+        setfield(self, "bound_gain_linear", bound_gain_linear)
+
+
+# the largest budget the walk over runs takes on: ordinary inputs answer in
+# about a second at 10**12, and the walk's time grows with sqrt(N)
+_MAX_SCAN_ELEMENTS = 10**12
 
 
 def _check_budget(n_elements: int, element: ElementPattern) -> None:
@@ -289,7 +300,9 @@ def optimal_geometry_integer(
     memory, at a cost of O(sqrt(N) + P log N) gain evaluations.  P counts
     the picks it follows, each more than 1e-12 above the last.  P is not
     bounded by N: gains that climb a long run in steps just over the
-    tolerance make it large, so the worst case is open.
+    tolerance make it large, so the worst case is open.  Budgets above
+    10**12 raise ValueError before the walk
+    unless ``allowed_geometries`` restricts it or both spreads are zero.
 
     Parameters
     ----------
@@ -337,6 +350,11 @@ def optimal_geometry_integer(
     else:
         # rows = N // cols and cols both reach N in the scan
         _check_widths(element, spread, n_elements, n_elements)
+        if n_elements > _MAX_SCAN_ELEMENTS:
+            raise ValueError(
+                f"n_elements must be at most {_MAX_SCAN_ELEMENTS} to scan every geometry, "
+                f"got {n_elements}; restrict the scan with allowed_geometries"
+            )
         if continuous is not None:
             start = min(max(round(continuous.cols_real), 1), n_elements)
         else:

@@ -21,12 +21,12 @@ keyed by the caller's seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .beam import AngularSpread, ArrayGeometry, ElementPattern, nominal_beamwidths
 from .errors import GridResolutionError, check_positive_float, check_positive_int
+from .value import Value, setfield
 
 _DEG = math.pi / 180.0
 _DEFAULT_SPACING_RAD = 0.05 * _DEG
@@ -39,8 +39,7 @@ def _even_ceil(x: float) -> int:
     return n + (n % 2)
 
 
-@dataclass(frozen=True)
-class AngularGrid:
+class AngularGrid(Value):
     """Uniform sampling of azimuth over the full circle and elevation
     over a symmetric span.
 
@@ -52,17 +51,18 @@ class AngularGrid:
     so that angle 0 lands on a sample.
     """
 
-    n_azim: int
-    n_elev: int
-    elev_half_span_rad: float = math.pi / 2
+    __slots__ = ("n_azim", "n_elev", "elev_half_span_rad")
 
-    def __post_init__(self) -> None:
-        for name, value in (("n_azim", self.n_azim), ("n_elev", self.n_elev)):
+    def __init__(self, n_azim: int, n_elev: int, elev_half_span_rad: float = math.pi / 2) -> None:
+        for name, value in (("n_azim", n_azim), ("n_elev", n_elev)):
             if not isinstance(value, int) or isinstance(value, bool) or value < 2:
                 raise ValueError(f"{name} must be an integer >= 2, got {value!r}")
             if value % 2:
                 raise ValueError(f"{name} must be even so 0 is on the grid, got {value}")
-        check_positive_float("elev_half_span_rad", self.elev_half_span_rad)
+        check_positive_float("elev_half_span_rad", elev_half_span_rad)
+        setfield(self, "n_azim", n_azim)
+        setfield(self, "n_elev", n_elev)
+        setfield(self, "elev_half_span_rad", elev_half_span_rad)
 
     @property
     def azim_spacing(self) -> float:
@@ -122,29 +122,34 @@ def grid_for(
     return AngularGrid(n_azim=n_azim, n_elev=_even_ceil(n_elev), elev_half_span_rad=half_span)
 
 
-@dataclass(frozen=True, eq=False)
-class SampledPattern:
+class SampledPattern(Value):
     """Separable power pattern on a grid: peak value times two unit-peak
     1-D profiles.  Storing factors instead of the full 2-D table keeps
     convolution O(n) per axis and memory O(n_elev + n_azim).  Arrays are
-    treated as immutable.
+    treated as immutable, and two patterns are equal only when they are
+    the same object.
     """
 
-    grid: AngularGrid
-    peak_power: float
-    elev_shape: np.ndarray
-    azim_shape: np.ndarray
+    __slots__ = ("grid", "peak_power", "elev_shape", "azim_shape")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        check_positive_float("peak_power", self.peak_power)
+    def __init__(
+        self, grid: AngularGrid, peak_power: float, elev_shape: np.ndarray, azim_shape: np.ndarray
+    ) -> None:
+        check_positive_float("peak_power", peak_power)
         for name, shape, count in (
-            ("elev_shape", self.elev_shape, self.grid.n_elev),
-            ("azim_shape", self.azim_shape, self.grid.n_azim),
+            ("elev_shape", elev_shape, grid.n_elev),
+            ("azim_shape", azim_shape, grid.n_azim),
         ):
             if shape.ndim != 1 or shape.size != count:
                 raise ValueError(f"{name} must be 1-D with {count} samples")
             if shape.min() < 0.0 or abs(shape.max() - 1.0) > 1e-12:
                 raise ValueError(f"{name} must be non-negative with unit peak")
+        setfield(self, "grid", grid)
+        setfield(self, "peak_power", peak_power)
+        setfield(self, "elev_shape", elev_shape)
+        setfield(self, "azim_shape", azim_shape)
 
     @property
     def total_power(self) -> float:
@@ -265,29 +270,27 @@ def fitted_rms_widths(pattern: SampledPattern) -> ElementPattern:
 _MC_CHUNK_DRAWS = 2**18
 
 
-@dataclass(frozen=True)
-class McConfig:
+class McConfig(Value):
     """Monte-Carlo run shape: paths per realization (at most one chunk,
     2**18), realization count, and the 64-bit seed that makes the run
     reproducible."""
 
-    n_paths: int = 20
-    n_realizations: int = 10_000
-    seed: int = 0
+    __slots__ = ("n_paths", "n_realizations", "seed")
 
-    def __post_init__(self) -> None:
-        check_positive_int("n_paths", self.n_paths)
-        check_positive_int("n_realizations", self.n_realizations)
-        if self.n_paths > _MC_CHUNK_DRAWS:
+    def __init__(self, n_paths: int = 20, n_realizations: int = 10_000, seed: int = 0) -> None:
+        check_positive_int("n_paths", n_paths)
+        check_positive_int("n_realizations", n_realizations)
+        if n_paths > _MC_CHUNK_DRAWS:
             # a chunk holds whole realizations, so this bounds its memory
             raise ValueError(
                 f"n_paths must be at most {_MC_CHUNK_DRAWS} (one Monte-Carlo chunk), "
-                f"got {self.n_paths}"
+                f"got {n_paths}"
             )
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not (
-            0 <= self.seed < 2**64
-        ):
-            raise ValueError(f"seed must be a 64-bit non-negative integer, got {self.seed!r}")
+        if not isinstance(seed, int) or isinstance(seed, bool) or not (0 <= seed < 2**64):
+            raise ValueError(f"seed must be a 64-bit non-negative integer, got {seed!r}")
+        setfield(self, "n_paths", n_paths)
+        setfield(self, "n_realizations", n_realizations)
+        setfield(self, "seed", seed)
 
 
 # Draws per variate in one block of arithmetic, sized so that a block's

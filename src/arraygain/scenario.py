@@ -14,12 +14,11 @@ Measurement CSVs carry raw sub-array power logs with the header
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .beam import AngularSpread, ArrayGeometry, ElementPattern, element_pattern_from_gain
 from .errors import MeasurementError, ScenarioError, check_positive_int
-from .optimize import max_elements_for_eirp
 from .units import linear_to_db
+from .value import Value, setfield
 
 MEASUREMENT_HEADER = ("rows", "cols", "tx_power_dbm", "rx_power_dbm")
 
@@ -43,8 +42,7 @@ def parse_geometry_list(text: str) -> tuple[ArrayGeometry, ...]:
     return tuple(parse_geometry(item) for item in items)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Value):
     """One experiment setup: element, spreads, and optional constraints.
 
     Exactly one element description must be present: either
@@ -53,19 +51,48 @@ class Scenario:
     that evaluate rather than optimize.
     """
 
-    element_gain_dbi: float | None = None
-    bw_elev_deg: float | None = None
-    bw_azim_deg: float | None = None
-    n_elements: int | None = None
-    asd_deg: float = 0.0
-    zsd_deg: float = 0.0
-    eirp_dbm: float | None = None
-    per_element_power_dbm: float | None = None
-    allowed_geometries: tuple[ArrayGeometry, ...] | None = None
-    rows: int | None = None
-    cols: int | None = None
+    __slots__ = (
+        "element_gain_dbi",
+        "bw_elev_deg",
+        "bw_azim_deg",
+        "n_elements",
+        "asd_deg",
+        "zsd_deg",
+        "eirp_dbm",
+        "per_element_power_dbm",
+        "allowed_geometries",
+        "rows",
+        "cols",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        element_gain_dbi: float | None = None,
+        bw_elev_deg: float | None = None,
+        bw_azim_deg: float | None = None,
+        n_elements: int | None = None,
+        asd_deg: float = 0.0,
+        zsd_deg: float = 0.0,
+        eirp_dbm: float | None = None,
+        per_element_power_dbm: float | None = None,
+        allowed_geometries: tuple[ArrayGeometry, ...] | None = None,
+        rows: int | None = None,
+        cols: int | None = None,
+    ) -> None:
+        if allowed_geometries is not None:
+            allowed_geometries = tuple(allowed_geometries)
+        setfield(self, "element_gain_dbi", element_gain_dbi)
+        setfield(self, "bw_elev_deg", bw_elev_deg)
+        setfield(self, "bw_azim_deg", bw_azim_deg)
+        setfield(self, "n_elements", n_elements)
+        setfield(self, "asd_deg", asd_deg)
+        setfield(self, "zsd_deg", zsd_deg)
+        setfield(self, "eirp_dbm", eirp_dbm)
+        setfield(self, "per_element_power_dbm", per_element_power_dbm)
+        setfield(self, "allowed_geometries", allowed_geometries)
+        setfield(self, "rows", rows)
+        setfield(self, "cols", cols)
+        # the checks below read the stored fields
         has_gain = self.element_gain_dbi is not None
         any_bw = self.bw_elev_deg is not None or self.bw_azim_deg is not None
         both_bw = self.bw_elev_deg is not None and self.bw_azim_deg is not None
@@ -105,10 +132,8 @@ class Scenario:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ScenarioError(f"{name} must be >= 1, got {value!r}")
-        if self.allowed_geometries is not None:
-            if not self.allowed_geometries:
-                raise ScenarioError("allowed_geometries is empty")
-            object.__setattr__(self, "allowed_geometries", tuple(self.allowed_geometries))
+        if self.allowed_geometries == ():
+            raise ScenarioError("allowed_geometries is empty")
 
     def element(self) -> ElementPattern:
         if self.element_gain_dbi is not None:
@@ -146,6 +171,9 @@ class Scenario:
         if self.eirp_dbm is not None:
             if self.per_element_power_dbm is None:
                 raise ScenarioError("eirp_dbm needs per_element_power_dbm to cap the array")
+            # only an EIRP cap needs optimize: estimate and validate never load it
+            from .optimize import max_elements_for_eirp
+
             cap = max_elements_for_eirp(
                 self.eirp_dbm, self.per_element_power_dbm, self.element_gain_dbi_value()
             )
@@ -219,22 +247,21 @@ def parse_scenario_file(path: str) -> Scenario:
     return Scenario(**read_scenario_values(path))
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
+class MeasurementRecord(Value):
     """One sub-array power log entry."""
 
-    rows: int
-    cols: int
-    tx_power_dbm: float
-    rx_power_dbm: float
+    __slots__ = ("rows", "cols", "tx_power_dbm", "rx_power_dbm")
 
-    def __post_init__(self) -> None:
-        check_positive_int("rows", self.rows)
-        check_positive_int("cols", self.cols)
-        for name in ("tx_power_dbm", "rx_power_dbm"):
-            value = getattr(self, name)
+    def __init__(self, rows: int, cols: int, tx_power_dbm: float, rx_power_dbm: float) -> None:
+        check_positive_int("rows", rows)
+        check_positive_int("cols", cols)
+        for name, value in (("tx_power_dbm", tx_power_dbm), ("rx_power_dbm", rx_power_dbm)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        setfield(self, "rows", rows)
+        setfield(self, "cols", cols)
+        setfield(self, "tx_power_dbm", tx_power_dbm)
+        setfield(self, "rx_power_dbm", rx_power_dbm)
 
 
 def load_measurements_csv(path: str) -> list[MeasurementRecord]:

@@ -92,6 +92,47 @@ def test_gain_report_orderings_enforced():
         GainReport.from_linear(nominal=20.0, effective=11.0, bound=10.0)
 
 
+@pytest.mark.parametrize(
+    "cls, fields, text, bad, message",
+    [
+        (
+            ElementPattern, {"bw_elev_rad": 0.5, "bw_azim_rad": 0.25},
+            "ElementPattern(bw_elev_rad=0.5, bw_azim_rad=0.25)",
+            {"bw_elev_rad": 0.0, "bw_azim_rad": 1.0}, "degenerate element: bw_elev_rad = 0.0",
+        ),
+        (
+            ArrayGeometry, {"rows": 32, "cols": 8}, "ArrayGeometry(rows=32, cols=8)",
+            {"rows": 4, "cols": 2.0}, "cols must be a positive integer, got 2.0",
+        ),
+        (
+            AngularSpread, {"zsd_rad": 0.125, "asd_rad": 0.5},
+            "AngularSpread(zsd_rad=0.125, asd_rad=0.5)",
+            {"zsd_rad": 0.0, "asd_rad": -0.5}, "asd_rad must be finite and >= 0, got -0.5",
+        ),
+        (
+            GainReport,
+            {
+                "nominal_gain_linear": 10.0, "effective_gain_linear": 2.0,
+                "upper_bound_linear": 4.0, "nominal_gain_dbi": 10.0,
+                "effective_gain_dbi": 3.0, "upper_bound_dbi": 6.0,
+            },
+            "GainReport(nominal_gain_linear=10.0, effective_gain_linear=2.0, "
+            "upper_bound_linear=4.0, nominal_gain_dbi=10.0, effective_gain_dbi=3.0, "
+            "upper_bound_dbi=6.0)",
+            {
+                "nominal_gain_linear": 1.0, "effective_gain_linear": 2.0,
+                "upper_bound_linear": 4.0, "nominal_gain_dbi": 0.0,
+                "effective_gain_dbi": 3.0, "upper_bound_dbi": 6.0,
+            },
+            "effective gain exceeds nominal gain",
+        ),
+    ],
+    ids=["ElementPattern", "ArrayGeometry", "AngularSpread", "GainReport"],
+)
+def test_value_types(cls, fields, text, bad, message, check_value_type):
+    check_value_type(cls, fields, text, bad, message)
+
+
 # --- 2. element from gain ----------------------------------------------
 
 def test_element_from_gain_identities():

@@ -658,6 +658,27 @@ def test_eirp_error():
     assert result.stderr.startswith("error[eirp]: EIRP below single-element emission")
 
 
+def test_budget_beyond_the_scan_is_an_input_error():
+    # both budgets fit a float but are far past what a walk over every
+    # geometry can cover (10**249 through the EIRP cap); they scanned without end
+    spread = ("--element-gain-dbi", "5", "--asd-deg", "22", "--zsd-deg", "5")
+    for args in (
+        ("optimize", "--eirp-dbm", "5000", "--element-power-dbm", "10", *spread),
+        ("optimize", "--elements", "1000000000000000", *spread),
+        ("sweep", "--elements", "1000000000001", *spread),
+    ):
+        result = subprocess.run(_CMD + list(args), capture_output=True, text=True, timeout=10)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith(
+            "error[input]: n_elements must be at most 1000000000000 to scan every geometry, got "
+        )
+    # the largest budget scanned still answers
+    largest = _run("optimize", "--elements", "1000000000000", *spread)
+    assert largest.returncode == 0, largest.stderr
+    assert _lines(largest)[0] == "budget: 1000000000000 elements"
+
+
 def test_budget_beyond_float_range_is_an_input_error():
     for command in ("optimize", "sweep"):
         result = _run(
@@ -787,13 +808,48 @@ _WITHOUT_NUMPY = (
 )
 
 
+def _bare_child(code: str) -> subprocess.CompletedProcess:
+    # -S: no site hooks, which can preload modules (typing, for one)
+    return subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1])),
+    )
+
+
 def test_cli_import_leaves_numpy_unloaded():
-    result = subprocess.run(
-        [sys.executable, "-c", "import sys, arraygain.cli; print('numpy' in sys.modules)"],
-        capture_output=True, text=True, timeout=300,
+    result = _bare_child(
+        "import sys, arraygain.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'numpy'} & set(sys.modules)))\n"
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "False\n"
+    assert result.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "args, unloaded",
+    [
+        (("optimize", "--elements", "256", "--element-gain-dbi", "5", "--asd-deg", "22",
+          "--zsd-deg", "5"), "arraygain.estimate"),
+        (("sweep", "--elements", "64", "--element-gain-dbi", "5", "--asd-deg", "14",
+          "--zsd-deg", "0.6"), "arraygain.estimate"),
+        (("estimate", "CSV", "--element-gain-dbi", "5", "--predict", "16", "16"),
+         "arraygain.optimize"),
+    ],
+    ids=["optimize", "sweep", "estimate"],
+)
+def test_subcommands_load_only_what_they_run(tmp_path, args, unloaded):
+    csv = tmp_path / "m.csv"
+    _forward_csv(csv, zsd_sq=0.0009, asd_sq=0.04)
+    args = [str(csv) if arg == "CSV" else arg for arg in args]
+    result = _bare_child(
+        "import io, sys, contextlib\n"
+        "from arraygain import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    status = cli.main({list(args)!r})\n"
+        f"print(status, {unloaded!r} in sys.modules, 'arraygain.oracle' in sys.modules)\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0 False False\n"
 
 
 def test_planning_subcommands_run_without_numpy(tmp_path):
@@ -833,13 +889,19 @@ def test_oracle_names_resolve_lazily():
     import arraygain
     from arraygain import oracle
 
-    lazy = (
-        "AngularGrid", "McConfig", "SampledPattern", "convolve_effective_pattern",
-        "fitted_rms_widths", "gaussian_pattern_sampled", "grid_for",
-        "monte_carlo_effective_gain", "upa_array_factor_beamwidth",
-    )
-    for name in lazy:
-        assert name in arraygain.__all__
-        assert getattr(arraygain, name) is getattr(oracle, name)
+    # every public name is its home module's object; the oracle's too
+    for name in arraygain.__all__:
+        value = getattr(arraygain, name)
+        home = sys.modules[value.__module__]
+        assert home.__name__.startswith("arraygain.")
+        assert getattr(home, name) is value
+    assert arraygain.grid_for is oracle.grid_for and arraygain.McConfig is oracle.McConfig
     with pytest.raises(AttributeError, match="no_such_name"):
         getattr(arraygain, "no_such_name")
+    # and importing the package loads none of those modules
+    result = _bare_child(
+        "import sys, arraygain\n"
+        "print(sorted(name for name in sys.modules if name.startswith('arraygain.')))\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -208,6 +208,39 @@ def test_spread_estimate_validation():
         SpreadEstimate(-1e-3, 0.0, 1, 1)
 
 
+@pytest.mark.parametrize(
+    "cls, fields, text, bad, message",
+    [
+        (
+            SubArrayGain, {"rows": 4, "cols": 8, "gain_linear": 0.5},
+            "SubArrayGain(rows=4, cols=8, gain_linear=0.5)",
+            {"rows": 4, "cols": 8, "gain_linear": 0.0}, "gain_linear must be finite and > 0, got 0.0",
+        ),
+        (
+            SpreadEstimate,
+            {
+                "asd_over_bhe_sq": 0.25, "zsd_over_bve_sq": 0.5, "n_pairs_asd": 3,
+                "n_pairs_zsd": 1, "n_skipped_asd": 2, "n_skipped_zsd": 0,
+            },
+            "SpreadEstimate(asd_over_bhe_sq=0.25, zsd_over_bve_sq=0.5, n_pairs_asd=3, "
+            "n_pairs_zsd=1, n_skipped_asd=2, n_skipped_zsd=0)",
+            {"asd_over_bhe_sq": 0.25, "zsd_over_bve_sq": -0.5, "n_pairs_asd": 1, "n_pairs_zsd": 1},
+            "spread estimates must be clamped to >= 0",
+        ),
+    ],
+    ids=["SubArrayGain", "SpreadEstimate"],
+)
+def test_value_types(cls, fields, text, bad, message, check_value_type):
+    check_value_type(cls, fields, text, bad, message)
+
+
+def test_spread_estimate_defaults_count_no_skipped_pairs():
+    assert SpreadEstimate(0.25, 0.5, 3, 1) == SpreadEstimate(
+        asd_over_bhe_sq=0.25, zsd_over_bve_sq=0.5, n_pairs_asd=3, n_pairs_zsd=1,
+        n_skipped_asd=0, n_skipped_zsd=0,
+    )
+
+
 # --- prediction ---------------------------------------------------------
 
 def test_predict_identity_at_reference_shape():

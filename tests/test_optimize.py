@@ -180,6 +180,31 @@ def test_continuous_geometry_validation():
         ContinuousGeometry(rows_real=0.0, cols_real=4.0)
 
 
+def test_value_types(check_value_type):
+    check_value_type(
+        ContinuousGeometry, {"rows_real": 6.5, "cols_real": 2.25},
+        "ContinuousGeometry(rows_real=6.5, cols_real=2.25)",
+        {"rows_real": 6.5, "cols_real": -1.0}, "cols_real must be finite and > 0, got -1.0",
+    )
+    element = ElementPattern(bw_elev_rad=0.5, bw_azim_rad=0.25)
+    spread = AngularSpread(zsd_rad=0.125, asd_rad=0.5)
+    report = effective_gain(element, ArrayGeometry(2, 1), spread)
+    fields = {
+        "continuous": ContinuousGeometry(rows_real=1.5, cols_real=1.0),
+        "integer_best": ArrayGeometry(2, 1),
+        "integer_gain": report,
+        "bound_gain_linear": 32.0,
+    }
+    check_value_type(
+        OptimizationResult, fields,
+        "OptimizationResult(continuous=ContinuousGeometry(rows_real=1.5, cols_real=1.0), "
+        f"integer_best=ArrayGeometry(rows=2, cols=1), integer_gain={report!r}, "
+        "bound_gain_linear=32.0)",
+        {**fields, "bound_gain_linear": 1.0},
+        "integer-geometry gain exceeds the budget-level bound",
+    )
+
+
 # --- integer scan -------------------------------------------------------
 
 def test_integer_optimum_strong_spread():
@@ -362,6 +387,18 @@ def test_row_runs_cover_the_sweep_geometries():
         ]
         # each run is one rows value, and there are at most 2 sqrt(N) of them
         assert len({rows for rows, _ in runs}) == len(runs) <= 2 * math.isqrt(n)
+
+
+def test_integer_scan_refuses_budgets_past_1e12():
+    element = element_pattern_from_gain(5.0)
+    spread = _spread_deg(5.0, 22.0)
+    for n in (10**12 + 1, 10**249):
+        with pytest.raises(ValueError, match=f"at most 1000000000000 to scan every geometry, got {n};"):
+            optimal_geometry_integer(n, element, spread)
+    # nothing to scan: a restricted search, and zero spread, where (N, 1) wins
+    allowed = [ArrayGeometry(10**7, 10**6)]
+    assert optimal_geometry_integer(10**13, element, spread, allowed).integer_best == allowed[0]
+    assert optimal_geometry_integer(10**13, element, _spread_deg(0.0, 0.0)).integer_best == ArrayGeometry(10**13, 1)
 
 
 def test_cli_sweep_streams_rows(tmp_path):

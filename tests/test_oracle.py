@@ -51,6 +51,41 @@ def test_grid_validation():
         AngularGrid(n_azim=7200, n_elev=3600, elev_half_span_rad=0.0)
 
 
+def test_value_types(check_value_type):
+    check_value_type(
+        AngularGrid, {"n_azim": 8, "n_elev": 4, "elev_half_span_rad": 1.5},
+        "AngularGrid(n_azim=8, n_elev=4, elev_half_span_rad=1.5)",
+        {"n_azim": 8, "n_elev": 3}, "n_elev must be even so 0 is on the grid, got 3",
+    )
+    assert AngularGrid(8, 4) == AngularGrid(n_azim=8, n_elev=4, elev_half_span_rad=math.pi / 2)
+    check_value_type(
+        McConfig, {"n_paths": 4, "n_realizations": 100, "seed": 7},
+        "McConfig(n_paths=4, n_realizations=100, seed=7)",
+        {"n_paths": 4, "seed": -1}, "seed must be a 64-bit non-negative integer, got -1",
+    )
+    assert McConfig() == McConfig(20, 10_000, 0)
+
+
+def test_sampled_pattern_is_an_immutable_identity_value():
+    # its shapes are arrays, so equality and hash go by identity
+    grid = AngularGrid(n_azim=4, n_elev=2)
+    elev, azim = np.array([0.5, 1.0]), np.array([0.0, 1.0, 0.5, 0.25])
+    pattern = oracle.SampledPattern(grid, 2.0, elev, azim)
+    twin = oracle.SampledPattern(grid=grid, peak_power=2.0, elev_shape=elev, azim_shape=azim)
+    assert (twin.grid, twin.peak_power, twin.elev_shape, twin.azim_shape) == (grid, 2.0, elev, azim)
+    assert pattern == pattern and pattern != twin
+    assert hash(pattern) == object.__hash__(pattern)
+    assert repr(pattern) == (
+        "SampledPattern(grid=AngularGrid(n_azim=4, n_elev=2, elev_half_span_rad=1.5707963267948966), "
+        f"peak_power=2.0, elev_shape={elev!r}, azim_shape={azim!r})"
+    )
+    for name in ("grid", "peak_power", "elev_shape", "azim_shape", "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(pattern, name, None)
+    with pytest.raises(ValueError, match="elev_shape must be non-negative with unit peak"):
+        oracle.SampledPattern(grid, 2.0, elev * 0.5, azim)
+
+
 def test_grid_samples_cover_axes():
     grid = AngularGrid(n_azim=720, n_elev=360)
     azim = grid.azim_samples()

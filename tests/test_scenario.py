@@ -76,6 +76,31 @@ def test_scenario_rejects_bad_numbers():
         Scenario(element_gain_dbi=math.inf)
 
 
+def test_scenario_value_type(check_value_type):
+    fields = {
+        "element_gain_dbi": 5.0, "bw_elev_deg": None, "bw_azim_deg": None, "n_elements": 256,
+        "asd_deg": 22.0, "zsd_deg": 5.0, "eirp_dbm": 43.0, "per_element_power_dbm": 10.0,
+        "allowed_geometries": (ArrayGeometry(32, 8),), "rows": 4, "cols": 2,
+    }
+    check_value_type(
+        Scenario, fields,
+        "Scenario(element_gain_dbi=5.0, bw_elev_deg=None, bw_azim_deg=None, n_elements=256, "
+        "asd_deg=22.0, zsd_deg=5.0, eirp_dbm=43.0, per_element_power_dbm=10.0, "
+        "allowed_geometries=(ArrayGeometry(rows=32, cols=8),), rows=4, cols=2)",
+        {"element_gain_dbi": 5.0, "rows": 0, "cols": 2}, "rows must be >= 1, got 0",
+    )
+
+
+def test_scenario_defaults_and_geometry_list():
+    assert Scenario(element_gain_dbi=5.0) == Scenario(
+        5.0, None, None, None, 0.0, 0.0, None, None, None, None, None
+    )
+    # any sequence of geometries is kept as a tuple
+    listed = Scenario(element_gain_dbi=5.0, allowed_geometries=[ArrayGeometry(4, 4)])
+    assert listed.allowed_geometries == (ArrayGeometry(4, 4),)
+    assert hash(listed) == hash(Scenario(element_gain_dbi=5.0, allowed_geometries=listed.allowed_geometries))
+
+
 def test_scenario_spread_and_geometry():
     scenario = Scenario(element_gain_dbi=5.0, asd_deg=22.0, zsd_deg=5.0, rows=32, cols=8)
     spread = scenario.spread()
@@ -216,3 +241,13 @@ def test_measurement_record_validation():
         MeasurementRecord(4, 4.0, 10.0, -70.0)
     with pytest.raises(ValueError, match="finite"):
         MeasurementRecord(4, 4, math.nan, -70.0)
+
+
+def test_measurement_record_value_type(check_value_type):
+    check_value_type(
+        MeasurementRecord,
+        {"rows": 4, "cols": 8, "tx_power_dbm": 10.0, "rx_power_dbm": -67.5},
+        "MeasurementRecord(rows=4, cols=8, tx_power_dbm=10.0, rx_power_dbm=-67.5)",
+        {"rows": 4, "cols": 8, "tx_power_dbm": 10.0, "rx_power_dbm": math.inf},
+        "rx_power_dbm must be finite, got inf",
+    )
