@@ -11,10 +11,12 @@ exit status is 0 on success, 1 on user error or a failed validation,
 2 on an internal fault.  Output is byte-stable for fixed inputs: fixed
 field order, 6-decimal floats, LF line endings.
 
-``sweep`` writes runs of equal rows in blocks of a few thousand rows, so
-its memory stays flat in N; each gain takes the float operations of
-``effective_gain_value`` and ``linear_to_db`` in order, so the bytes are
-a row-by-row writer's.
+``sweep`` writes runs of equal rows in blocks that end at multiples of
+1,000 columns, so its memory stays flat in N; each gain takes the float
+operations of ``effective_gain_value`` and ``linear_to_db`` in order.  A
+block from cols = 1,000 on whose gains all print alike is written as one
+join over the last three digits of its cols, and ``%.6f`` is correctly
+rounded, so the bytes are still a row-by-row writer's.
 
 Each subcommand imports the modules it runs when it runs, so a cold
 start compiles and loads only those.
@@ -132,9 +134,30 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     return Scenario(**values)
 
 
-# columns formatted at once: the rows = 1 run alone spans half the budget,
-# and blocks of this many keep memory flat in N
-_SWEEP_BLOCK = 4096
+# sweep blocks end at multiples of this many columns, so from cols = 1,000
+# on the cols of a block share all but their last three digits
+_SWEEP_BLOCK = 1000
+
+
+@cache
+def _tails() -> tuple[str, ...]:
+    # those last three digits; built on first use, so a sweep that stays
+    # below 1,000 columns never pays for them
+    return tuple(f"{i:03d}" for i in range(_SWEEP_BLOCK))
+
+
+def _one_string(dbis: list[float]) -> str | None:
+    """The ``%.6f`` text that every value of dbis prints as, or None.
+
+    ``%.6f`` is correctly rounded, so it never falls as its input rises:
+    when the min and the max print alike, every value between them does.
+    First and last are compared before the O(n) min and max, so a block
+    whose text changes costs two formats and no pass.
+    """
+    text = "%.6f" % dbis[0]
+    if "%.6f" % dbis[-1] != text or "%.6f" % min(dbis) != text or "%.6f" % max(dbis) != text:
+        return None
+    return text
 
 
 @contextmanager
@@ -165,7 +188,9 @@ def _write_sweep(path: str | None, element, spread, runs, winner: ArrayGeometry)
     # runs: (rows, range of cols) pairs, consumed once; path None is stdout.
     # Each gain takes the float operations of effective_gain_value and
     # linear_to_db in their order: the elevation width once per run, the
-    # rest column by column, a block at a time
+    # rest column by column, a block at a time.  A block from cols = 1,000
+    # on whose gains all print alike, and which does not hold the winner,
+    # is written as one join over the last three digits of its cols
     with _output(path) as out:
         out.write(SWEEP_HEADER + "\n")
         bw_azim, asd = element.bw_azim_rad, spread.asd_rad
@@ -174,28 +199,41 @@ def _write_sweep(path: str | None, element, spread, runs, winner: ArrayGeometry)
             flagged = rows == winner.rows
             template = f"{rows},%d,%.6f,%d\n" if flagged else f"{rows},%d,%.6f,0\n"
 
-            def text(block: range, gains: list[float]) -> str:
-                dbis = map(mul, repeat(10.0), map(math.log10, gains))
+            def text(block: range, dbis: list[float]) -> str:
                 if flagged:
                     fields = zip(block, dbis, map(eq, block, repeat(winner.cols)))
                 else:
                     fields = zip(block, dbis)
                 return (template * len(block)) % tuple(chain.from_iterable(fields))
 
-            for start in range(cols.start, cols.stop, _SWEEP_BLOCK):
-                block = range(start, min(start + _SWEEP_BLOCK, cols.stop))
+            start = cols.start
+            while start < cols.stop:
+                block = range(start, min(start - start % _SWEEP_BLOCK + _SWEEP_BLOCK, cols.stop))
                 azims = map(math.hypot, map(truediv, repeat(bw_azim), block), repeat(asd))
-                gains = list(map(truediv, repeat(2.0), map(mul, repeat(elev), azims)))
+                gains = map(truediv, repeat(2.0), map(mul, repeat(elev), azims))
                 try:
-                    lines = text(block, gains)
+                    dbis = list(map(mul, repeat(10.0), map(math.log10, gains)))
                 except ValueError:
                     # log10 refuses a zero gain (widths whose product
                     # overflows): write the rows before it, then fail as
-                    # linear_to_db does
+                    # linear_to_db does.  The same operations again, one
+                    # column at a time, find it
+                    gains = [2.0 / (elev * math.hypot(bw_azim / c, asd)) for c in block]
                     bad = gains.index(0.0)
-                    out.write(text(block[:bad], gains[:bad]))
+                    out.write(text(block[:bad], list(map(linear_to_db, gains[:bad]))))
                     linear_to_db(gains[bad])
-                out.write(lines)
+                if (
+                    start < _SWEEP_BLOCK
+                    or (flagged and winner.cols in block)
+                    or (shared := _one_string(dbis)) is None
+                ):
+                    out.write(text(block, dbis))
+                else:
+                    head = f"{rows},{start // _SWEEP_BLOCK}"
+                    lo = start % _SWEEP_BLOCK
+                    tails = _tails()[lo:lo + len(block)]
+                    out.write(head + f",{shared},0\n{head}".join(tails) + f",{shared},0\n")
+                start = block.stop
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:

@@ -452,6 +452,80 @@ def test_sweep_long_run_is_written_in_blocks(tmp_path):
         assert sum(1 for _ in fh) == 200_001
 
 
+_STRONG = {"element_gain_dbi": 5.0, "asd_deg": 22.0, "zsd_deg": 5.0}
+
+
+@pytest.mark.parametrize(
+    "n, values, geometries, joined_share",
+    [
+        # nearly every block from cols = 1,000 on prints one gain throughout
+        (200_000, _STRONG, None, 0.9),
+        # a tiny azimuth spread: the gain still climbs across each block, so
+        # blocks fall back to the per-row template; the winner is 2 x 100000,
+        # whose run (cols 66667..100000) is all past 1,000
+        (200_000, {**_STRONG, "asd_deg": 1e-4}, None, None),
+        # no azimuth spread: the gain climbs about 4.3 / cols dB a column, so
+        # no block of more than one row joins
+        (200_000, {**_STRONG, "asd_deg": 0.0}, None, 0.0),
+        # the rows = 2 run (cols 701..1050) crosses 1,000: blocks start and
+        # end mid-thousand
+        (2_100, _STRONG, None, None),
+        # the winner's rows recur at other cols, and those one-row blocks join
+        (40_000, _STRONG, [(1, 1000), (2, 9999), (2, 10000), (1, 39999), (2, 10000)], None),
+    ],
+    ids=["joins", "tiny-asd", "zero-asd", "mid-thousand", "explicit"],
+)
+def test_large_sweeps_match_the_per_row_reference(
+    n, values, geometries, joined_share, tmp_path, monkeypatch, capsys
+):
+    scenario = Scenario(n_elements=n, **values)
+    argv = ["sweep", "--elements", str(n), *_scenario_flags(values)]
+    if geometries is None:
+        listed, restriction = [(n // cols, cols) for cols in range(1, n + 1)], None
+    else:
+        listed = geometries
+        restriction = [ArrayGeometry(rows, cols) for rows, cols in geometries]
+        argv += ["--geometries", _geometry_text(geometries)]
+    want, error = _reference_sweep_text(scenario, listed, restriction)
+    assert error == ""
+    real = cli._one_string
+    joined = []  # the length of each block written as one join
+
+    def one_string(dbis):
+        text = real(dbis)
+        if text is not None:
+            joined.append(len(dbis))
+        return text
+
+    monkeypatch.setattr(cli, "_one_string", one_string)
+    out = tmp_path / "rows.csv"
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == want
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == want
+    if joined_share == 0.0:
+        assert max(joined, default=1) == 1
+    elif joined_share is not None:
+        assert sum(joined) > 2 * joined_share * n  # two sweeps of n rows
+    if geometries is not None:
+        assert joined
+
+
+def test_one_string_needs_every_value_to_print_alike():
+    # the join rests on "%.6f" being correctly rounded, so that it never
+    # falls as its input rises
+    assert sys.float_repr_style == "short"
+    assert cli._one_string([12.5, 12.5000001, 12.5000004]) == "12.500000"
+    assert cli._one_string([3.0]) == "3.000000"
+    # first and last print alike, a middle value does not: the list is not
+    # monotone, and only min and max see it
+    assert cli._one_string([12.5, 12.5000009, 12.5]) is None
+    assert cli._one_string([12.5, 12.4999991, 12.5]) is None
+    # values about 0 dBi print with and without a minus sign
+    assert cli._one_string([-1e-7, 1e-7]) is None
+    assert cli._one_string([1e-7, -1e-7, 1e-7]) is None
+
+
 def test_sweep_output_matches_the_golden_file():
     # the script and file that the stdlib CI job diffs on each supported Python
     result = subprocess.run(
