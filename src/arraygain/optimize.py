@@ -9,8 +9,10 @@ with equality exactly when the nominal beam matches the channel,
 bw_azim0 / bw_elev0 = asd / zsd.  That gives a closed-form real-valued
 optimum (rows grow with the azimuth spread: widening in azimuth is
 inevitable, so elements are better spent narrowing elevation) plus a
-gain ceiling no geometry can beat.  A walk over runs of equal rows out
-from the closed-form cols then finds the integer winner, zero spread too.
+gain ceiling no geometry can beat.  The integer winner is the tallest
+geometry rows = N // cols whose gain is within 1e-12 of the best over cols
+1..N, a property of the set of gains; a walk over runs of equal rows out
+from the closed-form cols finds it, zero spread too.
 
 EIRP sizing inverts the regulatory cap EIRP = P_t + G_e + 20 log10(n)
 for the largest compliant element count.
@@ -19,8 +21,8 @@ for the largest compliant element count.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from collections.abc import Iterable, Iterator, Sequence
+from bisect import bisect_left
+from collections.abc import Iterator, Sequence
 
 from .beam import (
     _REL_TOL,
@@ -177,24 +179,16 @@ def _row_runs(n: int) -> Iterator[tuple[int, range]]:
         cols = run.stop
 
 
-def _select(scored: Iterable[tuple[float, int, int]]) -> tuple[float, int, int]:
-    # (gain, rows, cols), at least one, in scan order: a gain above the
-    # best by more than the tolerance wins, a near-tie goes to the taller array
-    candidates = iter(scored)
-    best = next(candidates)
-    for candidate in candidates:
-        if candidate[0] > best[0] * (1.0 + _REL_TOL):
-            best = candidate
-        elif candidate[0] >= best[0] * (1.0 - _REL_TOL) and candidate[1] > best[1]:
-            best = candidate
-    return best
+def _select(scored: list[tuple[float, int, int]]) -> tuple[float, int, int]:
+    # (gain, rows, cols), at least one: the tallest array whose gain is within
+    # the tolerance of the best, the first listed among equal rows
+    bar = max(gain for gain, _, _ in scored) * (1.0 - _REL_TOL)
+    return max((c for c in scored if c[0] >= bar), key=lambda c: c[1])
 
 
 def _scan_runs(n: int, element: ElementPattern, spread: AngularSpread, start: int) -> tuple[int, int]:
-    # what _select picks from cols 1..N ascending: rows never rises there, so
-    # only a gain clear of the pick (above it by more than the tolerance)
-    # replaces it
-    clear = 1.0 + _REL_TOL
+    # the smallest cols in 1..N (the tallest array) whose gain is within the
+    # tolerance of the best gain over all of them
     near = 1.0 - 4.0 * _REL_TOL
 
     def envelope(cols: int) -> float:
@@ -205,85 +199,25 @@ def _scan_runs(n: int, element: ElementPattern, spread: AngularSpread, start: in
         # does not fall as cols grows within a run: a run's best is its end
         return effective_gain_value(element, n // cols, cols, spread)
 
-    # pass 1: runs out from E's peak until E is 4 tolerances (far above the
-    # rounding) below the best run end, keeping the best end and the runner-up
+    # runs out from E's peak until E is 4 tolerances (far above the rounding)
+    # below the best run end: no gain outside [lo, hi) comes near it, so that
+    # end is the best gain
     first = _run(n, start)
     lo, hi = first.start, first.stop
-    pick = first[-1]
-    best = gain(pick)
-    second = 0.0
-
-    def consider(end: int) -> None:
-        nonlocal pick, best, second
-        value = gain(end)
-        if value > best:
-            pick, best, second = end, value, best
-        else:
-            second = max(second, value)
-
+    best = gain(first[-1])
     while hi <= n and envelope(hi) >= best * near:
         end = _run(n, hi)[-1]
-        consider(end)
+        best = max(best, gain(end))
         hi = end + 1
     while lo > 1 and envelope(lo - 1) >= best * near:
-        consider(lo - 1)
+        best = max(best, gain(lo - 1))
         lo = _run(n, lo - 1).start
-    # a best end clear of every other gain is picked whatever came before it
-    if pick == 1 or best > max(second, gain(pick - 1)) * clear:
-        return n // pick, pick
-
-    def climb(lo: int) -> tuple[int, bool]:
-        # the picks from lo up, while best can still be beaten.  The first
-        # pick clear of every gain before it is the full scan's pick whatever
-        # came before: it pins the scan.  Until then top bounds every gain
-        # below cols (E(lo - 1) bounds all below lo); after it, top is the
-        # last pick and each pick is the first gain clear of it
-        pinned = lo == 1
-        top = 0.0 if pinned else envelope(lo - 1) * clear
-        pick = cols = lo
-        last = 0
-        while best > top * clear:
-            bar = top * clear
-            if cols > last:
-                rows = n // cols
-                last = n // rows  # the end of its run, as in _run
-                end = effective_gain_value(element, rows, last, spread)
-            if end <= bar:
-                # nothing left in this run clears the bar
-                if not pinned:
-                    top = max(top, end)
-                cols = last + 1
-                continue
-            # gallop up the run to a gain above the bar, then bisect back
-            search = probe = cols
-            step = 1
-            at = end if probe == last else gain(probe)
-            while at <= bar:
-                cols = probe + 1
-                step *= 2
-                probe = min(cols + step - 1, last)
-                at = end if probe == last else gain(probe)
-            pick = cols + bisect_right(range(cols, probe), bar, key=gain)
-            if pick != probe:
-                at = gain(pick)
-            if not pinned:
-                # the gains from search to pick - 1 are at most gain(pick - 1)
-                below = top if pick == search else max(top, gain(pick - 1))
-                pinned = at > below * clear
-            top = at
-            cols = pick + 1
-        return pick, pinned
-
-    # pass 2 from lo, raised to where E crosses the stop bar in its run
-    lo += bisect_left(range(lo, min(start, _run(n, lo)[-1])), best * near, key=envelope)
-    pick, pinned = climb(lo)
-    while not pinned:
-        # a staircase of near-ties: restart twice as far below hi.  Holding
-        # no gains, each climb walks its runs again, at most about as many
-        # as the last climb walks in all
-        lo = max(1, 2 * lo - hi)
-        pick, pinned = climb(lo)
-    return n // pick, pick
+    # the first run from lo whose end reaches the bar holds the winner
+    bar = best * (1.0 - _REL_TOL)
+    while gain(end := _run(n, lo)[-1]) < bar:
+        lo = end + 1
+    cols = lo + bisect_left(range(lo, end), bar, key=gain)
+    return n // cols, cols
 
 
 def optimal_geometry_integer(
@@ -294,15 +228,13 @@ def optimal_geometry_integer(
 ) -> OptimizationResult:
     """Exact integer optimization of rows x cols within the budget.
 
-    Returns the winner of a scan of cols in [1, N], rows = floor(N / cols),
-    where near-ties (1e-12 relative) go to the taller array; zero spread
-    gives (N, 1).  It walks the about 2 sqrt(N) runs of equal rows in O(1)
-    memory, at a cost of O(sqrt(N) + P log N) gain evaluations.  P counts
-    the picks it follows, each more than 1e-12 above the last.  P is not
-    bounded by N: gains that climb a long run in steps just over the
-    tolerance make it large, so the worst case is open.  Budgets above
-    10**12 raise ValueError before the walk
-    unless ``allowed_geometries`` restricts it or both spreads are zero.
+    Of the geometries rows = N // cols, cols in [1, N], returns the one
+    with the smallest cols (the tallest array) whose gain is at least
+    G* (1 - 1e-12), G* being the best gain among them; zero spread gives
+    (N, 1).  It walks the about 2 sqrt(N) runs of equal rows in O(1)
+    memory, at a cost of O(sqrt(N)) gain evaluations.  Budgets above
+    10**12 raise ValueError before the walk unless ``allowed_geometries``
+    restricts it or both spreads are zero.
 
     Parameters
     ----------
@@ -312,7 +244,9 @@ def optimal_geometry_integer(
     spread : AngularSpread
     allowed_geometries : sequence of ArrayGeometry, optional
         Restrict the scan to these candidates (feed-network or form
-        factor constraints).  Each must fit the budget.
+        factor constraints).  Each must fit the budget.  The same rule
+        picks among them: the tallest within 1e-12 of their best gain,
+        the first listed among equal rows.
 
     Returns
     -------
@@ -341,8 +275,10 @@ def optimal_geometry_integer(
                 max(geom.cols for geom in allowed_geometries),
             )
         _, rows, cols = _select(
-            (effective_gain_value(element, geom.rows, geom.cols, spread), geom.rows, geom.cols)
-            for geom in allowed_geometries
+            [
+                (effective_gain_value(element, geom.rows, geom.cols, spread), geom.rows, geom.cols)
+                for geom in allowed_geometries
+            ]
         )
     elif spread.is_zero:
         # every full-budget geometry ties and the tallest comes first

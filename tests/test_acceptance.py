@@ -61,15 +61,15 @@ def _spread_deg(zsd: float, asd: float) -> AngularSpread:
 
 
 def _brute_force_best(n, element, spread):
-    best = None
-    for cols in range(1, n + 1):
-        for rows in range(1, n // cols + 1):
-            gain = effective_gain_value(element, rows, cols, spread)
-            if best is None or gain > best[0] * (1 + 1e-12):
-                best = (gain, rows, cols)
-            elif gain >= best[0] * (1 - 1e-12) and rows > best[1]:
-                best = (gain, rows, cols)
-    return best
+    # every feasible pair: the tallest within 1e-12 of the best gain, the
+    # fewest cols among equal rows
+    scored = [
+        (effective_gain_value(element, rows, cols, spread), rows, cols)
+        for cols in range(1, n + 1)
+        for rows in range(1, n // cols + 1)
+    ]
+    bar = max(gain for gain, _, _ in scored) * (1 - 1e-12)
+    return min((c for c in scored if c[0] >= bar), key=lambda c: (-c[1], c[2]))
 
 
 def test_reference_gains(capsys):

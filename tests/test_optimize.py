@@ -3,17 +3,23 @@
 The load-bearing checks:
   - the closed-form optimum attains the bound (AM-GM equality) and
     satisfies the matching condition to 1e-12;
-  - the walk over runs of equal rows matches an independent scan over
-    every feasible (rows, cols) pair, and picks the same winner as the
-    exhaustive scan over every cols in 1..N, flat envelopes included;
+  - the winner is a property of the set of gains: the tallest geometry
+    within 1e-12 of the best gain.  The walk over runs of equal rows
+    matches an independent scan over every feasible (rows, cols) pair,
+    the exhaustive scan over every cols in 1..N (flat envelopes and dense
+    near-ties included), and at N = 10**9 to 10**11 a brute-force scan
+    of the window of cols whose envelope comes near the winner;
+  - an allowed-geometry list gives the same winner in any order;
   - the walk keeps O(1) state: a flat envelope at N = 10**6 traces under
-    1 MiB, and a billion-element one answers in seconds;
+    1 MiB, and budgets up to 10**12 answer in seconds, long runs of
+    near-ties included;
   - the two published optima, 32x8 for (22, 5) degrees of spread and
     85x3 for (14, 0.6), come out of the scan.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import subprocess
 import sys
@@ -46,31 +52,28 @@ def _spread_deg(zsd: float, asd: float) -> AngularSpread:
     return AngularSpread(zsd_rad=math.radians(zsd), asd_rad=math.radians(asd))
 
 
-def _exhaustive_best(n, element, spread):
-    # reference for the pruned scan: every cols in 1..N with rows = N // cols,
-    # ascending, under the same update rule
-    best = None
-    for cols in range(1, n + 1):
-        rows = n // cols
-        gain = effective_gain_value(element, rows, cols, spread)
-        if best is None or gain > best[0] * (1 + 1e-12):
-            best = (gain, rows, cols)
-        elif gain >= best[0] * (1 - 1e-12) and rows > best[1]:
-            best = (gain, rows, cols)
-    return best
+def _exhaustive_best(n, element, spread, cols_range=None):
+    # reference for the walk over runs: every cols in 1..N (or in cols_range)
+    # with rows = N // cols; the smallest cols, so the tallest array, whose
+    # gain is within the tolerance of the best
+    scored = [
+        (effective_gain_value(element, n // cols, cols, spread), n // cols, cols)
+        for cols in (range(1, n + 1) if cols_range is None else cols_range)
+    ]
+    bar = max(gain for gain, _, _ in scored) * (1 - 1e-12)
+    return next(c for c in scored if c[0] >= bar)
 
 
 def _brute_force_best(n, element, spread):
-    # independent oracle: every feasible pair, same tie preference
-    best = None
-    for cols in range(1, n + 1):
-        for rows in range(1, n // cols + 1):
-            gain = effective_gain_value(element, rows, cols, spread)
-            if best is None or gain > best[0] * (1 + 1e-12):
-                best = (gain, rows, cols)
-            elif gain >= best[0] * (1 - 1e-12) and rows > best[1]:
-                best = (gain, rows, cols)
-    return best
+    # independent oracle: every feasible pair, the same rule; among equal
+    # rows the fewest cols
+    scored = [
+        (effective_gain_value(element, rows, cols, spread), rows, cols)
+        for cols in range(1, n + 1)
+        for rows in range(1, n // cols + 1)
+    ]
+    bar = max(gain for gain, _, _ in scored) * (1 - 1e-12)
+    return min((c for c in scored if c[0] >= bar), key=lambda c: (-c[1], c[2]))
 
 
 # --- upper bound --------------------------------------------------------
@@ -289,7 +292,7 @@ def test_pruned_scan_matches_exhaustive_scan():
 def test_pruned_scan_matches_exhaustive_scan_on_dense_near_ties():
     # spreads so small that every full-budget geometry of a highly
     # composite budget is within a few tolerances of the best: the
-    # winner then depends on the order the exhaustive scan meets them
+    # winner is then the first of many near-ties
     rng = np.random.default_rng(7)
     for _ in range(300):
         n = int(rng.choice([360, 720, 1680, 2520, 5040]))
@@ -326,8 +329,8 @@ def test_pruned_scan_matches_exhaustive_scan_on_dense_near_ties():
         best = optimal_geometry_integer(n, element, spread).integer_best
         assert (best.rows, best.cols) == _exhaustive_best(n, element, spread)[1:]
 
-    # a pick past the first cols of its bisection pins the scan only if it
-    # is also clear of the gain just before it; these two are not
+    # scattered near-ties: the first (cols 304 and 93) lies well below the
+    # cols of the best gain (345 and 107), with gaps between them
     for n, width, zsd, asd in (
         (5177, 2.688646142563931e-05, 0.31044571639174146, 0.01366213607663258),
         (754, 5.349066045248822e-06, 0.20194573738074034, 0.012693589738565936),
@@ -368,7 +371,7 @@ def test_integer_large_budget_is_a_local_optimum_under_the_bound():
 def test_cli_optimize_billion_element_budget_is_fast():
     # the exhaustive scan would take about 40 minutes for either; the 300 dBi
     # element makes the envelope flat, so every geometry is a near-tie
-    for gain_dbi, asd_deg, winner in (("5", "22", "66600 x 15015"), ("300", "10", "1000000000 x 1")):
+    for gain_dbi, asd_deg, winner in (("5", "22", "66662 x 15001"), ("300", "10", "1000000000 x 1")):
         result = subprocess.run(
             [sys.executable, "-m", "arraygain", "optimize", "--elements", "1000000000",
              "--element-gain-dbi", gain_dbi, "--asd-deg", asd_deg, "--zsd-deg", "5"],
@@ -376,6 +379,54 @@ def test_cli_optimize_billion_element_budget_is_fast():
         )
         assert result.returncode == 0, result.stderr
         assert "budget: 1000000000 elements" in result.stdout
+        assert f"integer optimum: {winner} (" in result.stdout
+
+
+def test_integer_scan_matches_a_window_reference_at_large_budgets():
+    # the exhaustive scan is out of reach here, but any cols whose gain
+    # comes within the tolerance of the best has an envelope E(cols), the
+    # gain at rows = N / cols, at least that gain: the window of cols where
+    # E reaches the bar taken from the winner's gain, less 4 tolerances for
+    # the rounding, holds every candidate
+    element = element_pattern_from_gain(5.0)
+    spread = _spread_deg(5.0, 22.0)
+    for n, winner in (
+        (10**9, (66662, 15001)),
+        (10**10, (213192, 46906)),
+        (10**11, (698338, 143197)),
+    ):
+        result = optimal_geometry_integer(n, element, spread)
+
+        def envelope(cols):
+            return effective_gain_value(element, n / cols, cols, spread)
+
+        floor = result.integer_gain.effective_gain_linear * (1 - 1e-12) * (1 - 4e-12)
+        lo = hi = round(result.continuous.cols_real)
+        assert envelope(lo) >= floor
+        while envelope(lo - 1) >= floor:
+            lo -= 1
+        while envelope(hi + 1) >= floor:
+            hi += 1
+        assert hi - lo < 10**5
+        best = _exhaustive_best(n, element, spread, range(lo, hi + 1))
+        assert (result.integer_best.rows, result.integer_best.cols) == best[1:] == winner
+
+
+def test_cli_optimize_long_runs_of_near_ties_are_fast():
+    # gains that climb a run of billions of cols in steps just under the
+    # tolerance: the walk bisects that run once for the first near-tie
+    for args, winner in (
+        (["--element-gain-dbi", "300", "--asd-deg", "0", "--zsd-deg", "1.57"],
+         "1 x 999999999999"),
+        (["--bw-elev-deg", "0.21371", "--bw-azim-deg", "20.8743",
+          "--zsd-deg", "9.4691", "--asd-deg", "1.5333e-7"],
+         "13 x 76923052355"),
+    ):
+        result = subprocess.run(
+            [sys.executable, "-m", "arraygain", "optimize", "--elements", "1000000000000", *args],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert result.returncode == 0, result.stderr
         assert f"integer optimum: {winner} (" in result.stdout
 
 
@@ -444,6 +495,24 @@ def test_integer_with_allowed_geometries():
         optimal_geometry_integer(16, element, spread, [ArrayGeometry(8, 4)])
     with pytest.raises(ValueError, match="empty"):
         optimal_geometry_integer(16, element, spread, [])
+
+
+def test_allowed_geometries_winner_does_not_depend_on_list_order():
+    # 8x30 has the best gain, 40x6 is 0.33e-12 below it and 60x4 1.30e-12:
+    # 40x6 is the tallest within the tolerance.  An update in list order
+    # could chain 8x30 -> 40x6 -> 60x4 by near-ties
+    element = ElementPattern(bw_elev_rad=1.0, bw_azim_rad=1.0)
+    spread = AngularSpread(zsd_rad=3.1364093665593476e-08, asd_rad=3.1364093665593476e-08)
+    allowed = [ArrayGeometry(8, 30), ArrayGeometry(40, 6), ArrayGeometry(60, 4)]
+    for order in itertools.permutations(allowed):
+        best = optimal_geometry_integer(240, element, spread, list(order)).integer_best
+        assert (best.rows, best.cols) == (40, 6)
+    # a 300 dBi element's widths vanish against the spread, so equal rows
+    # give equal gains: the first listed wins
+    flat = element_pattern_from_gain(300.0)
+    for tied in ([ArrayGeometry(2, 5), ArrayGeometry(2, 3)], [ArrayGeometry(2, 3), ArrayGeometry(2, 5)]):
+        best = optimal_geometry_integer(10, flat, _spread_deg(5.0, 5.0), [ArrayGeometry(1, 7), *tied])
+        assert best.integer_best == tied[0]
 
 
 def test_optimization_result_invariant():
