@@ -14,9 +14,13 @@ field order, 6-decimal floats, LF line endings.
 ``sweep`` writes runs of equal rows in blocks that end at multiples of
 1,000 columns, so its memory stays flat in N; each gain takes the float
 operations of ``effective_gain_value`` and ``linear_to_db`` in order.  A
-block from cols = 1,000 on whose gains all print alike is written as one
-join over the last three digits of its cols, and ``%.6f`` is correctly
-rounded, so the bytes are still a row-by-row writer's.
+block from cols = 1,000 on is decided from its first and last gains: within
+a run the exact gain does not fall as cols grows, each computed dBi is
+within about 1e-12 dB of it, and ``%.6f`` is correctly rounded, so when the
+two ends widened by 1e-9 dB print alike, every row between prints that
+text.  Such a block is written as one join over the last three digits of
+its cols, with no gain inside it computed, and the bytes are still a
+row-by-row writer's.
 
 Each subcommand imports the modules it runs when it runs, so a cold
 start compiles and loads only those.
@@ -146,18 +150,29 @@ def _tails() -> tuple[str, ...]:
     return tuple(f"{i:03d}" for i in range(_SWEEP_BLOCK))
 
 
-def _one_string(dbis: list[float]) -> str | None:
-    """The ``%.6f`` text that every value of dbis prints as, or None.
+# the slack around the two end values: a computed dBi value is within about
+# 1e-12 dB of its exact value, a thousand times less
+_MARGIN_DB = 1e-9
 
-    ``%.6f`` is correctly rounded, so it never falls as its input rises:
-    when the min and the max print alike, every value between them does.
-    First and last are compared before the O(n) min and max, so a block
-    whose text changes costs two formats and no pass.
+
+def _flat_text(elev: float, bw_azim: float, asd: float, block: range) -> str | None:
+    """The ``%.6f`` text that every cols of block prints, or None.
+
+    Only the gains at the first and last cols are computed, with the float
+    operations of every other column (see :func:`_write_sweep` for why
+    that suffices).  None when the two ends widened by ``_MARGIN_DB``
+    print differently, or when an end gain or the narrowest azimuth width
+    is not a normal float, where the error bound behind the margin fails.
     """
-    text = "%.6f" % dbis[0]
-    if "%.6f" % dbis[-1] != text or "%.6f" % min(dbis) != text or "%.6f" % max(dbis) != text:
+    first = 2.0 / (elev * math.hypot(bw_azim / block[0], asd))
+    width = math.hypot(bw_azim / block[-1], asd)
+    last = 2.0 / (elev * width)
+    normal, huge = sys.float_info.min, sys.float_info.max
+    if width < normal or not (normal <= first <= huge and normal <= last <= huge):
         return None
-    return text
+    first, last = 10.0 * math.log10(first), 10.0 * math.log10(last)
+    text = "%.6f" % (min(first, last) - _MARGIN_DB)
+    return text if "%.6f" % (max(first, last) + _MARGIN_DB) == text else None
 
 
 @contextmanager
@@ -184,55 +199,76 @@ def _output(path: str | None):
             raise
 
 
+def _write_rows(out, rows: int, block: range, elev: float, bw_azim: float, asd: float,
+                winner_cols: int) -> None:
+    # every gain of block, column by column, written with one "%" template
+    azims = map(math.hypot, map(truediv, repeat(bw_azim), block), repeat(asd))
+    gains = map(truediv, repeat(2.0), map(mul, repeat(elev), azims))
+    try:
+        dbis = list(map(mul, repeat(10.0), map(math.log10, gains)))
+    except ValueError:
+        # log10 refuses a zero gain (widths whose product overflows): write
+        # the rows before it, then fail as linear_to_db does.  The same
+        # operations again, one column at a time, find it
+        gains = [2.0 / (elev * math.hypot(bw_azim / c, asd)) for c in block]
+        bad = gains.index(0.0)
+        _write_rows(out, rows, block[:bad], elev, bw_azim, asd, winner_cols)
+        linear_to_db(gains[bad])
+    if winner_cols in block:
+        template = f"{rows},%d,%.6f,%d\n"
+        fields = zip(block, dbis, map(eq, block, repeat(winner_cols)))
+    else:
+        template = f"{rows},%d,%.6f,0\n"
+        fields = zip(block, dbis)
+    out.write((template * len(block)) % tuple(chain.from_iterable(fields)))
+
+
 def _write_sweep(path: str | None, element, spread, runs, winner: ArrayGeometry) -> None:
     # runs: (rows, range of cols) pairs, consumed once; path None is stdout.
     # Each gain takes the float operations of effective_gain_value and
     # linear_to_db in their order: the elevation width once per run, the
-    # rest column by column, a block at a time.  A block from cols = 1,000
-    # on whose gains all print alike, and which does not hold the winner,
-    # is written as one join over the last three digits of its cols
+    # rest column by column.
+    #
+    # A block from cols = 1,000 on that does not hold the winner is decided
+    # from its two end gains alone (_flat_text).  Within a run of equal rows
+    # the exact gain 2 / (elev * sqrt((bw_azim / cols)**2 + asd**2)) does
+    # not fall as cols grows.  Each computed dBi is within about 1e-12 dB of
+    # that exact value while the gain and the widths are normal floats: a
+    # few ulps from truediv, hypot (under 1 ulp on 3.10+), mul and log10.
+    # So every column's value lies in [min - m, max + m] of the two end
+    # values, m = _MARGIN_DB, and "%.6f" is correctly rounded, so it never
+    # falls as its input rises: when min - m and max + m print alike, every
+    # column prints that text, and the block is one join over the last three
+    # digits of its cols with no gain computed inside it.  Any other block
+    # is written row by row; both give the same bytes, so nothing checks
+    # the rows a join stands for
     with _output(path) as out:
         out.write(SWEEP_HEADER + "\n")
         bw_azim, asd = element.bw_azim_rad, spread.asd_rad
         for rows, cols in runs:
             elev = math.hypot(element.bw_elev_rad / rows, spread.zsd_rad)
-            flagged = rows == winner.rows
-            template = f"{rows},%d,%.6f,%d\n" if flagged else f"{rows},%d,%.6f,0\n"
-
-            def text(block: range, dbis: list[float]) -> str:
-                if flagged:
-                    fields = zip(block, dbis, map(eq, block, repeat(winner.cols)))
-                else:
-                    fields = zip(block, dbis)
-                return (template * len(block)) % tuple(chain.from_iterable(fields))
-
+            winner_cols = winner.cols if rows == winner.rows else 0
+            if len(cols) == 1:
+                # every cols <= sqrt(N), and each listed geometry: one gain
+                # and one line, with no per-block set-up
+                col = cols.start
+                dbi = linear_to_db(2.0 / (elev * math.hypot(bw_azim / col, asd)))
+                out.write("%d,%d,%.6f,%d\n" % (rows, col, dbi, col == winner_cols))
+                continue
             start = cols.start
             while start < cols.stop:
                 block = range(start, min(start - start % _SWEEP_BLOCK + _SWEEP_BLOCK, cols.stop))
-                azims = map(math.hypot, map(truediv, repeat(bw_azim), block), repeat(asd))
-                gains = map(truediv, repeat(2.0), map(mul, repeat(elev), azims))
-                try:
-                    dbis = list(map(mul, repeat(10.0), map(math.log10, gains)))
-                except ValueError:
-                    # log10 refuses a zero gain (widths whose product
-                    # overflows): write the rows before it, then fail as
-                    # linear_to_db does.  The same operations again, one
-                    # column at a time, find it
-                    gains = [2.0 / (elev * math.hypot(bw_azim / c, asd)) for c in block]
-                    bad = gains.index(0.0)
-                    out.write(text(block[:bad], list(map(linear_to_db, gains[:bad]))))
-                    linear_to_db(gains[bad])
                 if (
-                    start < _SWEEP_BLOCK
-                    or (flagged and winner.cols in block)
-                    or (shared := _one_string(dbis)) is None
+                    start >= _SWEEP_BLOCK
+                    and winner_cols not in block
+                    and (shared := _flat_text(elev, bw_azim, asd, block)) is not None
                 ):
-                    out.write(text(block, dbis))
-                else:
                     head = f"{rows},{start // _SWEEP_BLOCK}"
                     lo = start % _SWEEP_BLOCK
                     tails = _tails()[lo:lo + len(block)]
                     out.write(head + f",{shared},0\n{head}".join(tails) + f",{shared},0\n")
+                else:
+                    _write_rows(out, rows, block, elev, bw_azim, asd, winner_cols)
                 start = block.stop
 
 

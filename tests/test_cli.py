@@ -8,6 +8,7 @@ format, the sweep CSV round trip, and the error-code contract
 from __future__ import annotations
 
 import errno
+import hashlib
 import io
 import math
 import os
@@ -24,6 +25,7 @@ import pytest
 from arraygain import (
     AngularSpread,
     ArrayGeometry,
+    ElementPattern,
     Scenario,
     cli,
     effective_gain,
@@ -448,8 +450,11 @@ def test_sweep_long_run_is_written_in_blocks(tmp_path):
         tracemalloc.stop()
     assert status == 0
     assert peak < 5 * 2**20
-    with out.open() as fh:
-        assert sum(1 for _ in fh) == 200_001
+    data = out.read_bytes()
+    assert data.count(b"\n") == 200_001
+    # the digest that the stdlib CI job also checks
+    digest = (_DATA / "sweep_200000.sha256").read_text().split()[0]
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 _STRONG = {"element_gain_dbi": 5.0, "asd_deg": 22.0, "zsd_deg": 5.0}
@@ -470,7 +475,7 @@ _STRONG = {"element_gain_dbi": 5.0, "asd_deg": 22.0, "zsd_deg": 5.0}
         # the rows = 2 run (cols 701..1050) crosses 1,000: blocks start and
         # end mid-thousand
         (2_100, _STRONG, None, None),
-        # the winner's rows recur at other cols, and those one-row blocks join
+        # the winner's rows recur at other cols, each a run of one column
         (40_000, _STRONG, [(1, 1000), (2, 9999), (2, 10000), (1, 39999), (2, 10000)], None),
     ],
     ids=["joins", "tiny-asd", "zero-asd", "mid-thousand", "explicit"],
@@ -488,16 +493,18 @@ def test_large_sweeps_match_the_per_row_reference(
         argv += ["--geometries", _geometry_text(geometries)]
     want, error = _reference_sweep_text(scenario, listed, restriction)
     assert error == ""
-    real = cli._one_string
+    real = cli._flat_text
     joined = []  # the length of each block written as one join
+    decided = []  # the length of each block the two-point decision saw
 
-    def one_string(dbis):
-        text = real(dbis)
+    def flat_text(elev, bw_azim, asd, block):
+        text = real(elev, bw_azim, asd, block)
+        decided.append(len(block))
         if text is not None:
-            joined.append(len(dbis))
+            joined.append(len(block))
         return text
 
-    monkeypatch.setattr(cli, "_one_string", one_string)
+    monkeypatch.setattr(cli, "_flat_text", flat_text)
     out = tmp_path / "rows.csv"
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == want
@@ -507,23 +514,86 @@ def test_large_sweeps_match_the_per_row_reference(
         assert max(joined, default=1) == 1
     elif joined_share is not None:
         assert sum(joined) > 2 * joined_share * n  # two sweeps of n rows
+        # gains computed: two per decision and one per row not joined; the
+        # joined rows cost two per block, under n / 100 of them in all
+        assert 2 * len(joined) < 2 * n / 100
+        assert 2 * len(decided) + 2 * n - sum(joined) < 2 * n / 50
     if geometries is not None:
-        assert joined
+        # a listed geometry is a run of one column: one line, no decision
+        assert decided == []
 
 
-def test_one_string_needs_every_value_to_print_alike():
+def _flat_inputs(dbi):
+    # (elev, bw_azim, asd) whose gain is 10**(dbi / 10) to within an ulp at
+    # every cols from 1,000 on: asd = 1 swamps bw_azim / cols
+    return 2.0 / 10.0 ** (dbi / 10.0), 1e-300, 1.0
+
+
+def test_flat_text_needs_both_ends_clear_of_a_change_of_text():
     # the join rests on "%.6f" being correctly rounded, so that it never
     # falls as its input rises
     assert sys.float_repr_style == "short"
-    assert cli._one_string([12.5, 12.5000001, 12.5000004]) == "12.500000"
-    assert cli._one_string([3.0]) == "3.000000"
-    # first and last print alike, a middle value does not: the list is not
-    # monotone, and only min and max see it
-    assert cli._one_string([12.5, 12.5000009, 12.5]) is None
-    assert cli._one_string([12.5, 12.4999991, 12.5]) is None
-    # values about 0 dBi print with and without a minus sign
-    assert cli._one_string([-1e-7, 1e-7]) is None
-    assert cli._one_string([1e-7, -1e-7, 1e-7]) is None
+    one, block = range(1000, 1001), range(1000, 2000)
+    assert cli._flat_text(*_flat_inputs(12.5), block) == "12.500000"
+    assert cli._flat_text(*_flat_inputs(-0.25), one) == "-0.250000"
+    # ends that print alike but lie within the margin of a rounding boundary
+    boundary = 12.3456785
+    for offset in (-5e-10, 5e-10):
+        elev, bw_azim, asd = _flat_inputs(boundary + offset)
+        assert "%.6f" % (10.0 * math.log10(2.0 / elev)) in ("12.345678", "12.345679")
+        assert cli._flat_text(elev, bw_azim, asd, block) is None
+    assert cli._flat_text(*_flat_inputs(boundary + 5e-9), block) == "12.345679"
+    assert cli._flat_text(*_flat_inputs(boundary - 5e-9), block) == "12.345678"
+    # ends about 0 dBi, where the text may carry a minus sign or not
+    for dbi in (-5e-10, 0.0, 5e-10):
+        assert cli._flat_text(*_flat_inputs(dbi), one) is None
+    assert cli._flat_text(*_flat_inputs(-1e-7), one) == "-0.000000"
+    assert cli._flat_text(*_flat_inputs(1e-7), one) == "0.000000"
+    # ends that print differently: no azimuth spread, and the gain doubles
+    assert cli._flat_text(2.0, 1.0, 0.0, block) is None
+    # a zero end gain (the width product overflows) and a subnormal one
+    assert cli._flat_text(1e300, 1.0, 1e10, block) is None
+    assert cli._flat_text(1e300, 1.0, 1.5e8, block) is None
+    assert 0.0 < 2.0 / (1e300 * 1.5e8) < sys.float_info.min
+    # a normal gain over a subnormal azimuth width
+    assert cli._flat_text(1e10, 1e-305, 0.0, range(10000, 10001)) is None
+    assert 1e-305 / 10000 < sys.float_info.min <= 2.0 / (1e10 * (1e-305 / 10000)) < math.inf
+
+
+def _log_uniform(rng, lo, hi):
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def test_flat_blocks_print_one_text_row_by_row():
+    # extreme elements and spreads and blocks up to cols = 10**9: every block
+    # that the two-point decision accepts prints its text at every cols
+    rng = random.Random(20261019)
+    accepted = refused = 0
+    for _ in range(3000):
+        element = ElementPattern(
+            math.radians(_log_uniform(rng, 0.01, 200.0)),
+            math.radians(_log_uniform(rng, 0.01, 200.0)),
+        )
+        spread = AngularSpread(
+            zsd_rad=math.radians(_log_uniform(rng, 1e-6, 80.0)),
+            asd_rad=math.radians(_log_uniform(rng, 1e-6, 80.0)),
+        )
+        rows = round(_log_uniform(rng, 1, 1e6))
+        base = 1000 * round(_log_uniform(rng, 1, 1e6))
+        start = base + rng.randrange(1000)
+        block = range(start, rng.randint(start + 1, base + 1000))
+        elev = math.hypot(element.bw_elev_rad / rows, spread.zsd_rad)
+        text = cli._flat_text(elev, element.bw_azim_rad, spread.asd_rad, block)
+        if text is None:
+            refused += 1
+            continue
+        accepted += 1
+        printed = {
+            "%.6f" % linear_to_db(effective_gain_value(element, rows, cols, spread))
+            for cols in block
+        }
+        assert printed == {text}, (element, spread, rows, block)
+    assert accepted > 600 and refused > 600
 
 
 def test_sweep_output_matches_the_golden_file():
