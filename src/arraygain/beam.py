@@ -33,6 +33,8 @@ from .units import db_to_linear, linear_to_db
 from .value import Value, setfield
 
 _REL_TOL = 1e-12
+# the smallest normal float: below it a float loses precision
+_NORMAL = sys.float_info.min
 
 
 class ElementPattern(Value):
@@ -41,7 +43,7 @@ class ElementPattern(Value):
     The beam may be one array element's, a whole array's nominal beam
     (:func:`nominal_beamwidths`) or one fitted to a sampled pattern
     (:func:`arraygain.oracle.fitted_rms_widths`).  Widths whose gain
-    2 / (bw_elev * bw_azim) is beyond float range raise
+    2 / (bw_elev * bw_azim) is not a normal float raise
     :class:`DegenerateElementError`, like widths that are not > 0.
 
     Attributes
@@ -59,7 +61,7 @@ class ElementPattern(Value):
             if not (math.isfinite(value) and value > 0.0):
                 raise DegenerateElementError(f"degenerate element: {name} = {value!r}")
         product = bw_elev_rad * bw_azim_rad
-        if product == 0.0 or 2.0 / product == math.inf:
+        if product == 0.0 or not _NORMAL <= 2.0 / product < math.inf:
             raise DegenerateElementError(
                 "degenerate element: gain beyond float range at "
                 f"{bw_elev_rad!r} x {bw_azim_rad!r} rad"
@@ -183,11 +185,10 @@ def element_pattern_from_gain(gain_dbi: float) -> ElementPattern:
     try:
         bw = math.sqrt(2.0 / db_to_linear(gain_dbi))
     except (OverflowError, ZeroDivisionError):
-        bw = 0.0
-    if bw <= 0.0 or not math.isfinite(bw):
-        # so extreme that the beamwidth leaves double range in one
-        # direction or the other
-        raise DegenerateElementError(f"degenerate element: {gain_dbi} dBi has no representable beamwidth")
+        # the linear gain leaves double range; ElementPattern refuses the rest
+        raise DegenerateElementError(
+            f"degenerate element: {gain_dbi} dBi has no representable beamwidth"
+        ) from None
     return ElementPattern(bw_elev_rad=bw, bw_azim_rad=bw)
 
 
@@ -210,9 +211,13 @@ def nominal_beamwidths(element: ElementPattern, geom: ArrayGeometry) -> ElementP
     )
 
 
-def _check_array_gain(n_elements: int, element: ElementPattern) -> None:
-    # N * G_e is the gain at zero spread and bounds every gain of an array
-    # of at most N elements, so past this check none overflows
+def _check_budget(n_elements: int, element: ElementPattern, spread: AngularSpread) -> None:
+    # A geometry of rows * cols <= N elements has nominal widths of at least
+    # bw / N and a gain between the 1 x 1 gain and N * G_e.  Once those are
+    # normal floats, so is every width and gain that any such geometry takes
+    # on, and nothing downstream needs a fallback for the float range
+    if n_elements < 1:
+        raise ValueError(f"n_elements must be >= 1, got {n_elements!r}")
     try:
         overflows = n_elements * element.gain_linear == math.inf
     except OverflowError:
@@ -223,6 +228,15 @@ def _check_array_gain(n_elements: int, element: ElementPattern) -> None:
         raise ValueError(
             f"array gain beyond float range: {n_elements} elements x {element.gain_linear:.6g}"
         )
+    for name in ("bw_elev_rad", "bw_azim_rad"):
+        width = getattr(element, name) / n_elements
+        if width < _NORMAL:
+            raise DegenerateElementError(
+                f"degenerate element: nominal {name} = {width!r} is subnormal"
+            )
+    least = effective_gain_value(element, 1, 1, spread)
+    if least < _NORMAL:
+        raise ValueError(f"gain beyond float range: the 1 x 1 gain is {least!r}")
 
 
 def _upper_bound(n_elements: float, element: ElementPattern, spread: AngularSpread) -> float:
@@ -260,10 +274,9 @@ def effective_gain(
 
     The nominal gain is the gain at zero spread, the effective gain is
     :func:`effective_gain_value` at ``spread``, and the bound is the
-    element-budget upper bound at N = rows * cols.  An array whose
-    nominal gain N * G_e is beyond float range raises ValueError; a
-    subnormal nominal width whose rounding breaks the report's orderings
-    raises DegenerateElementError.
+    element-budget upper bound at N = rows * cols.  Inputs whose gains
+    at that budget leave the normal float range raise ValueError, and a
+    nominal width below it raises DegenerateElementError.
 
     Parameters
     ----------
@@ -276,22 +289,15 @@ def effective_gain(
     GainReport
         Nominal, effective and bound gains, linear and dBi.
     """
-    _check_array_gain(geom.n_elements, element)
-    # building the beam rejects a width that underflows to 0
-    nominal = nominal_beamwidths(element, geom)
-    try:
-        return GainReport.from_linear(
-            # hypot(x, 0) is exactly x, so this is effective_gain_value at zero spread
-            nominal=nominal.gain_linear,
-            effective=effective_gain_value(element, geom.rows, geom.cols, spread),
-            bound=_upper_bound(geom.n_elements, element, spread),
-        )
-    except ValueError:
-        # a subnormal width loses precision, enough to break the orderings
-        for name in ("bw_elev_rad", "bw_azim_rad"):
-            width = getattr(nominal, name)
-            if width < sys.float_info.min:
-                raise DegenerateElementError(
-                    f"degenerate element: nominal {name} = {width!r} is subnormal"
-                ) from None
-        raise
+    _check_budget(geom.n_elements, element, spread)
+    return _report(element, geom, spread)
+
+
+def _report(element: ElementPattern, geom: ArrayGeometry, spread: AngularSpread) -> GainReport:
+    # effective_gain past its budget check, for a caller that has run it
+    return GainReport.from_linear(
+        # hypot(x, 0) is exactly x, so this is effective_gain_value at zero spread
+        nominal=nominal_beamwidths(element, geom).gain_linear,
+        effective=effective_gain_value(element, geom.rows, geom.cols, spread),
+        bound=_upper_bound(geom.n_elements, element, spread),
+    )

@@ -20,7 +20,9 @@ within about 1e-12 dB of it, and ``%.6f`` is correctly rounded, so when the
 two ends widened by 1e-9 dB print alike, every row between prints that
 text.  Such a block is written as one join over the last three digits of
 its cols, with no gain inside it computed, and the bytes are still a
-row-by-row writer's.
+row-by-row writer's.  The budget check that runs before the winner is
+picked keeps every width and gain of the sweep a normal float, so no row
+fails and the 1e-12 dB bound holds.
 
 Each subcommand imports the modules it runs when it runs, so a cold
 start compiles and loads only those.
@@ -161,16 +163,11 @@ def _flat_text(elev: float, bw_azim: float, asd: float, block: range) -> str | N
     Only the gains at the first and last cols are computed, with the float
     operations of every other column (see :func:`_write_sweep` for why
     that suffices).  None when the two ends widened by ``_MARGIN_DB``
-    print differently, or when an end gain or the narrowest azimuth width
-    is not a normal float, where the error bound behind the margin fails.
+    print differently.  The budget check keeps every width and gain a
+    normal float, where the error bound behind the margin holds.
     """
-    first = 2.0 / (elev * math.hypot(bw_azim / block[0], asd))
-    width = math.hypot(bw_azim / block[-1], asd)
-    last = 2.0 / (elev * width)
-    normal, huge = sys.float_info.min, sys.float_info.max
-    if width < normal or not (normal <= first <= huge and normal <= last <= huge):
-        return None
-    first, last = 10.0 * math.log10(first), 10.0 * math.log10(last)
+    first = 10.0 * math.log10(2.0 / (elev * math.hypot(bw_azim / block[0], asd)))
+    last = 10.0 * math.log10(2.0 / (elev * math.hypot(bw_azim / block[-1], asd)))
     text = "%.6f" % (min(first, last) - _MARGIN_DB)
     return text if "%.6f" % (max(first, last) + _MARGIN_DB) == text else None
 
@@ -204,16 +201,7 @@ def _write_rows(out, rows: int, block: range, elev: float, bw_azim: float, asd: 
     # every gain of block, column by column, written with one "%" template
     azims = map(math.hypot, map(truediv, repeat(bw_azim), block), repeat(asd))
     gains = map(truediv, repeat(2.0), map(mul, repeat(elev), azims))
-    try:
-        dbis = list(map(mul, repeat(10.0), map(math.log10, gains)))
-    except ValueError:
-        # log10 refuses a zero gain (widths whose product overflows): write
-        # the rows before it, then fail as linear_to_db does.  The same
-        # operations again, one column at a time, find it
-        gains = [2.0 / (elev * math.hypot(bw_azim / c, asd)) for c in block]
-        bad = gains.index(0.0)
-        _write_rows(out, rows, block[:bad], elev, bw_azim, asd, winner_cols)
-        linear_to_db(gains[bad])
+    dbis = map(mul, repeat(10.0), map(math.log10, gains))
     if winner_cols in block:
         template = f"{rows},%d,%.6f,%d\n"
         fields = zip(block, dbis, map(eq, block, repeat(winner_cols)))
@@ -233,8 +221,9 @@ def _write_sweep(path: str | None, element, spread, runs, winner: ArrayGeometry)
     # from its two end gains alone (_flat_text).  Within a run of equal rows
     # the exact gain 2 / (elev * sqrt((bw_azim / cols)**2 + asd**2)) does
     # not fall as cols grows.  Each computed dBi is within about 1e-12 dB of
-    # that exact value while the gain and the widths are normal floats: a
-    # few ulps from truediv, hypot (under 1 ulp on 3.10+), mul and log10.
+    # that exact value, as the budget check keeps the gain and the widths
+    # normal floats: a few ulps from truediv, hypot (under 1 ulp on 3.10+),
+    # mul and log10.
     # So every column's value lies in [min - m, max + m] of the two end
     # values, m = _MARGIN_DB, and "%.6f" is correctly rounded, so it never
     # falls as its input rises: when min - m and max + m print alike, every

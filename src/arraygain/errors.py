@@ -25,7 +25,9 @@ class ArrayGainError(ValueError):
 
 
 class DegenerateElementError(ArrayGainError):
-    """Element gain so large the beamwidth underflows to zero."""
+    """Beamwidths the float arithmetic cannot carry: a width that is not
+    finite and > 0, a gain 2 / (bw_elev * bw_azim) that is not a normal
+    float, or a nominal width that is subnormal at the element budget."""
 
     code = "element"
 

@@ -30,17 +30,12 @@ from .beam import (
     ArrayGeometry,
     ElementPattern,
     GainReport,
-    _check_array_gain,
+    _check_budget,
+    _report,
     _upper_bound,
-    effective_gain,
     effective_gain_value,
 )
-from .errors import (
-    DegenerateElementError,
-    DegenerateSpreadError,
-    EirpTooLowError,
-    check_positive_float,
-)
+from .errors import DegenerateSpreadError, EirpTooLowError, check_positive_float
 from .value import Value, setfield
 
 
@@ -90,31 +85,6 @@ class OptimizationResult(Value):
 _MAX_SCAN_ELEMENTS = 10**12
 
 
-def _check_budget(n_elements: int, element: ElementPattern) -> None:
-    if n_elements < 1:
-        raise ValueError(f"n_elements must be >= 1, got {n_elements!r}")
-    # the gain arithmetic runs in floats; a budget past their range would
-    # otherwise fail deep inside it as an OverflowError or an inf
-    _check_array_gain(n_elements, element)
-
-
-def _check_widths(
-    element: ElementPattern, spread: AngularSpread, max_rows: int, max_cols: int
-) -> None:
-    # a nominal width bw / count that underflows to 0 on an axis without
-    # spread zeroes the gain's denominator; bw / count falls with count, so
-    # the largest counts a call evaluates settle it for every candidate
-    if spread.zsd_rad == 0.0 and element.bw_elev_rad / max_rows == 0.0:
-        name, count = "bw_elev_rad", max_rows
-    elif spread.asd_rad == 0.0 and element.bw_azim_rad / max_cols == 0.0:
-        name, count = "bw_azim_rad", max_cols
-    else:
-        return
-    raise DegenerateElementError(
-        f"degenerate element: {name} / {count} underflows to 0 on an axis with zero spread"
-    )
-
-
 def gain_upper_bound(
     n_elements: int, element: ElementPattern, spread: AngularSpread
 ) -> float:
@@ -133,7 +103,7 @@ def gain_upper_bound(
         2 / (asd * zsd + bw_elev * bw_azim / N), linear.  At zero spread
         this collapses to N times the element gain.
     """
-    _check_budget(n_elements, element)
+    _check_budget(n_elements, element, spread)
     return _upper_bound(n_elements, element, spread)
 
 
@@ -152,7 +122,7 @@ def optimal_geometry_continuous(
         no finite solution there.  Use :func:`optimal_geometry_integer`,
         whose scan handles the degenerate axis naturally.
     """
-    _check_budget(n_elements, element)
+    _check_budget(n_elements, element, spread)
     if spread.asd_rad == 0.0 or spread.zsd_rad == 0.0:
         raise DegenerateSpreadError(
             "degenerate spread: closed-form geometry needs both spreads > 0"
@@ -254,7 +224,7 @@ def optimal_geometry_integer(
         The winner, its gain report, the budget-level bound, and the
         continuous solution (None when either spread is zero).
     """
-    _check_budget(n_elements, element)
+    _check_budget(n_elements, element, spread)
     continuous = None
     if spread.asd_rad > 0.0 and spread.zsd_rad > 0.0:
         continuous = optimal_geometry_continuous(n_elements, element, spread)
@@ -266,14 +236,6 @@ def optimal_geometry_integer(
                 raise ValueError(
                     f"geometry {geom.rows}x{geom.cols} exceeds the element budget {n_elements}"
                 )
-        if spread.zsd_rad == 0.0 or spread.asd_rad == 0.0:
-            # the only case _check_widths can refuse; spares two passes
-            _check_widths(
-                element,
-                spread,
-                max(geom.rows for geom in allowed_geometries),
-                max(geom.cols for geom in allowed_geometries),
-            )
         _, rows, cols = _select(
             [
                 (effective_gain_value(element, geom.rows, geom.cols, spread), geom.rows, geom.cols)
@@ -284,8 +246,6 @@ def optimal_geometry_integer(
         # every full-budget geometry ties and the tallest comes first
         rows, cols = n_elements, 1
     else:
-        # rows = N // cols and cols both reach N in the scan
-        _check_widths(element, spread, n_elements, n_elements)
         if n_elements > _MAX_SCAN_ELEMENTS:
             raise ValueError(
                 f"n_elements must be at most {_MAX_SCAN_ELEMENTS} to scan every geometry, "
@@ -301,8 +261,9 @@ def optimal_geometry_integer(
     return OptimizationResult(
         continuous=continuous,
         integer_best=best_geom,
-        integer_gain=effective_gain(element, best_geom, spread),
-        bound_gain_linear=gain_upper_bound(n_elements, element, spread),
+        # the budget check above covers both: best_geom fits the budget
+        integer_gain=_report(element, best_geom, spread),
+        bound_gain_linear=_upper_bound(n_elements, element, spread),
     )
 
 

@@ -30,7 +30,8 @@ from .value import Value, setfield
 
 _DEG = math.pi / 180.0
 _DEFAULT_SPACING_RAD = 0.05 * _DEG
-# most samples on one grid axis: 16 MB a float64 array along it
+# most samples on one grid axis: 16 MB a float64 array along it; even, so a
+# capped azimuth count keeps angle 0 on the grid
 _MAX_AXIS_SAMPLES = 2_000_000
 
 
@@ -83,7 +84,6 @@ def grid_for(
     bw_elev_rad: float,
     bw_azim_rad: float,
     spread: AngularSpread | None = None,
-    max_azim_samples: int = _MAX_AXIS_SAMPLES,
 ) -> AngularGrid:
     """Grid fine and wide enough for a beam and an optional spread.
 
@@ -106,7 +106,7 @@ def grid_for(
     if asd > 0.0:
         d_azim = min(d_azim, asd / 8.0)
     # capped before rounding: the uncapped count can exceed float range
-    n_azim = _even_ceil(min(2.0 * math.pi / d_azim, max_azim_samples - max_azim_samples % 2))
+    n_azim = _even_ceil(min(2.0 * math.pi / d_azim, _MAX_AXIS_SAMPLES))
 
     d_elev = min(_DEFAULT_SPACING_RAD, bw_elev_rad / 8.0)
     if zsd > 0.0:

@@ -62,8 +62,12 @@ def test_element_pattern_rejects_bad_widths():
         ElementPattern(bw_elev_rad=1.0, bw_azim_rad=-0.5)
     with pytest.raises(DegenerateElementError):
         ElementPattern(bw_elev_rad=math.nan, bw_azim_rad=1.0)
-    # each width is fine, but the product underflows or 2 / product overflows
-    for elev, azim in [(1e-200, 1e-200), (1e-160, 1e-160), (1e-300, 1e-9)]:
+    # each width is fine, but the gain 2 / product is not a normal float: the
+    # product underflows or 2 / product overflows, or the product overflows
+    # (a zero gain) or 2 / product is subnormal
+    for elev, azim in [
+        (1e-200, 1e-200), (1e-160, 1e-160), (1e-300, 1e-9), (1e155, 1e155), (1e154, 1e154),
+    ]:
         with pytest.raises(DegenerateElementError, match="beyond float range"):
             ElementPattern(bw_elev_rad=elev, bw_azim_rad=azim)
     assert ElementPattern(bw_elev_rad=1e-150, bw_azim_rad=1e-150).gain_linear == pytest.approx(2e300)

@@ -18,6 +18,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,17 @@ from arraygain.units import linear_to_db
 
 _CMD = [sys.executable, "-m", "arraygain"]
 _DATA = Path(__file__).resolve().parent / "data"
+
+
+def _assert_same_text(got, want, context):
+    # full equality; a mismatch names its first differing line instead of
+    # letting pytest's assertion rewriting diff megabytes of text
+    if got == want:
+        return
+    lines = zip_longest(got.splitlines(keepends=True), want.splitlines(keepends=True))
+    for number, (line, expected) in enumerate(lines, 1):
+        if line != expected:
+            pytest.fail(f"{context}: line {number} is {line!r}, want {expected!r}", pytrace=False)
 
 
 def _run(*args, binary=False):
@@ -302,7 +314,7 @@ def test_sweep_rows_match_the_per_row_reference(tmp_path, capsys):
             got = out.read_text(encoding="utf-8")
         else:
             got = printed.out
-        assert got == want, argv
+        _assert_same_text(got, want, argv)
         seen.add((argv[0], "--allowed-geometries" in argv, "--geometries" in argv))
         if restriction is not None and "--allowed-geometries" in argv:
             # the winner is no (N // cols, cols) row, so none is flagged
@@ -311,25 +323,26 @@ def test_sweep_rows_match_the_per_row_reference(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "values, n, geometries, to_file",
+    "values, n, geometries, to_file, code",
     [
-        # the element's widths multiply to inf: the budget bound is 0, which
-        # fails before the header
+        # the element's widths multiply to inf: its gain is 0
         ({"bw_elev_deg": 1e156, "bw_azim_deg": 1e156, "asd_deg": 1.0, "zsd_deg": 1.0},
-         16, None, False),
-        # rows <= 1 widen elevation until the width product overflows: the
-        # run of rows = 1 fails at its first column, after 2,500 rows
+         16, None, False, "element"),
+        # rows <= 1 widen elevation until the width product overflows: this
+        # wrote 2,500 rows and then failed at the run of rows = 1
         ({"bw_elev_deg": 1e150, "bw_azim_deg": 1.0, "asd_deg": 1e162, "zsd_deg": 0.0},
-         5000, None, False),
+         5000, None, False, "input"),
         ({"bw_elev_deg": 1e150, "bw_azim_deg": 1.0, "asd_deg": 1e162, "zsd_deg": 0.0},
-         5000, None, True),
+         5000, None, True, "input"),
         # an explicit list whose third geometry has a zero gain
         ({"bw_elev_deg": 1.0, "bw_azim_deg": 1e12, "asd_deg": 0.0, "zsd_deg": 1e301},
-         100, [(1, 100), (2, 50), (1, 1), (1, 100)], False),
+         100, [(1, 100), (2, 50), (1, 1), (1, 100)], False, "input"),
     ],
     ids=["bound-zero", "run-stdout", "run-out-file", "explicit-list"],
 )
-def test_sweep_zero_gain_fails_like_the_reference(values, n, geometries, to_file, tmp_path):
+def test_sweep_zero_gain_fails_like_the_reference(values, n, geometries, to_file, code, tmp_path):
+    # the budget check refuses a zero gain anywhere in the budget before the
+    # header, so nothing is written
     scenario = Scenario(n_elements=n, **values)
     argv = ["sweep", "--elements", str(n), *_scenario_flags(values)]
     if geometries is None:
@@ -342,67 +355,78 @@ def test_sweep_zero_gain_fails_like_the_reference(values, n, geometries, to_file
     if to_file:
         argv += ["--out", str(out)]
     want, error = _reference_sweep_text(scenario, listed, restriction)
-    assert error == "error[input]: cannot express 0.0 in dB, need a positive ratio\n"
+    assert want == "" and error.startswith(f"error[{code}]: ")
     result = _run(*argv)
     assert result.returncode == 1
-    assert result.stderr == error
-    if to_file:
-        # the rows written before the failure are not left behind
-        assert result.stdout == "" and not out.exists()
-    else:
-        assert result.stdout == want
+    assert result.stdout == "" and not out.exists()
+    assert result.stderr == error and result.stderr.count("\n") == 1
 
 
-# a sweep that fails after 2,500 rows: rows = 1 overflows the width product
-_FAILING_SWEEP = [
-    "sweep", "--elements", "5000", "--bw-elev-deg", "1e150", "--bw-azim-deg", "1",
-    "--asd-deg", "1e162", "--zsd-deg", "0",
-]
-_ZERO_GAIN = "error[input]: cannot express 0.0 in dB, need a positive ratio\n"
+_STRONG = {"element_gain_dbi": 5.0, "asd_deg": 22.0, "zsd_deg": 5.0}
+_SWEEP = ["sweep", "--elements", "5000", *_scenario_flags(_STRONG)]
+# the error of a sweep whose writing fails after its first block
+_FAILED_WRITE = "error[io]: [Errno 5] the disk went away\n"
 
 
-def test_sweep_failure_keeps_a_fifo(tmp_path, capsys):
+@pytest.fixture
+def failing_write(monkeypatch):
+    # no input fails once the file is open, so the failure is injected: the
+    # first block is written, then the write fails
+    real = cli._write_rows
+
+    def write_rows(out, *args):
+        real(out, *args)
+        raise OSError(errno.EIO, "the disk went away")
+
+    monkeypatch.setattr(cli, "_write_rows", write_rows)
+
+
+def test_sweep_failure_keeps_a_fifo(tmp_path, capsys, failing_write):
     # only a regular file is removed; a FIFO, like a device, stays
     fifo = tmp_path / "pipe"
     os.mkfifo(fifo)
     received = []
     reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
     reader.start()
-    status = cli.main([*_FAILING_SWEEP, "--out", str(fifo)])
+    status = cli.main([*_SWEEP, "--out", str(fifo)])
     reader.join(timeout=60)
     assert not reader.is_alive()
-    assert status == 1 and capsys.readouterr().err == _ZERO_GAIN
+    assert status == 1 and capsys.readouterr().err == _FAILED_WRITE
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
-    assert received[0].count("\n") == 2501
+    # the reader got the rows up to the failure, whole lines of the full sweep
+    scenario = Scenario(n_elements=5000, **_STRONG)
+    want, _ = _reference_sweep_text(scenario, [(5000 // cols, cols) for cols in range(1, 5001)])
+    assert received[0].count("\n") > 1 and want.startswith(received[0])
+    assert received[0].endswith("\n")
 
 
-def test_sweep_failure_keeps_a_symlink(tmp_path, capsys):
+def test_sweep_failure_keeps_a_symlink(tmp_path, capsys, failing_write):
     target = tmp_path / "rows.csv"
     target.write_text("")
     link = tmp_path / "link.csv"
     link.symlink_to(target)
-    assert cli.main([*_FAILING_SWEEP, "--out", str(link)]) == 1
-    assert capsys.readouterr().err == _ZERO_GAIN
+    assert cli.main([*_SWEEP, "--out", str(link)]) == 1
+    assert capsys.readouterr().err == _FAILED_WRITE
     assert link.is_symlink() and target.is_file()
 
 
-def test_sweep_failure_removes_no_device(monkeypatch, capsys):
+def test_sweep_failure_removes_no_device(monkeypatch, capsys, failing_write):
     # os.remove is recorded, not run, so a fault here cannot delete the device
     removed = []
     monkeypatch.setattr(os, "remove", removed.append)
-    assert cli.main([*_FAILING_SWEEP, "--out", os.devnull]) == 1
-    assert capsys.readouterr().err == _ZERO_GAIN
+    assert cli.main([*_SWEEP, "--out", os.devnull]) == 1
+    assert capsys.readouterr().err == _FAILED_WRITE
     assert removed == []
 
 
-def test_failed_cleanup_keeps_the_original_error(tmp_path, monkeypatch, capsys):
+def test_failed_cleanup_keeps_the_original_error(tmp_path, monkeypatch, capsys, failing_write):
     # a non-root caller may not remove the file: the sweep's own error still shows
     def refuse(path):
         raise PermissionError(errno.EACCES, "Permission denied", path)
 
     monkeypatch.setattr(os, "remove", refuse)
-    assert cli.main([*_FAILING_SWEEP, "--out", str(tmp_path / "rows.csv")]) == 1
-    assert capsys.readouterr().err == _ZERO_GAIN
+    assert cli.main([*_SWEEP, "--out", str(tmp_path / "rows.csv")]) == 1
+    assert capsys.readouterr().err == _FAILED_WRITE
 
 
 def test_interrupted_write_removes_the_file(tmp_path):
@@ -457,9 +481,6 @@ def test_sweep_long_run_is_written_in_blocks(tmp_path):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
-_STRONG = {"element_gain_dbi": 5.0, "asd_deg": 22.0, "zsd_deg": 5.0}
-
-
 @pytest.mark.parametrize(
     "n, values, geometries, joined_share",
     [
@@ -507,9 +528,9 @@ def test_large_sweeps_match_the_per_row_reference(
     monkeypatch.setattr(cli, "_flat_text", flat_text)
     out = tmp_path / "rows.csv"
     assert cli.main(argv) == 0
-    assert capsys.readouterr().out == want
+    _assert_same_text(capsys.readouterr().out, want, "stdout")
     assert cli.main([*argv, "--out", str(out)]) == 0
-    assert out.read_text(encoding="utf-8") == want
+    _assert_same_text(out.read_text(encoding="utf-8"), want, "--out")
     if joined_share == 0.0:
         assert max(joined, default=1) == 1
     elif joined_share is not None:
@@ -551,13 +572,6 @@ def test_flat_text_needs_both_ends_clear_of_a_change_of_text():
     assert cli._flat_text(*_flat_inputs(1e-7), one) == "0.000000"
     # ends that print differently: no azimuth spread, and the gain doubles
     assert cli._flat_text(2.0, 1.0, 0.0, block) is None
-    # a zero end gain (the width product overflows) and a subnormal one
-    assert cli._flat_text(1e300, 1.0, 1e10, block) is None
-    assert cli._flat_text(1e300, 1.0, 1.5e8, block) is None
-    assert 0.0 < 2.0 / (1e300 * 1.5e8) < sys.float_info.min
-    # a normal gain over a subnormal azimuth width
-    assert cli._flat_text(1e10, 1e-305, 0.0, range(10000, 10001)) is None
-    assert 1e-305 / 10000 < sys.float_info.min <= 2.0 / (1e10 * (1e-305 / 10000)) < math.inf
 
 
 def _log_uniform(rng, lo, hi):
@@ -712,11 +726,8 @@ def test_validate_zero_spread_is_exact():
         # 2.4 GiB an elevation array: this used to allocate, or fail as
         # error[internal] where memory ran out
         (("--element-gain-dbi", "5", "--rows", "10000000", "--cols", "1"), "316027492"),
-        # the azimuth count overflowed to inf: error[internal] before
-        (("--bw-elev-deg", "1e300", "--bw-azim-deg", "1e-318", "--rows", "1", "--cols", "1"),
-         "3.2e+302"),
     ],
-    ids=["elevation-samples", "azimuth-overflow"],
+    ids=["elevation-samples"],
 )
 def test_validate_grid_past_the_cap_is_a_typed_error(args, needed):
     result = _run("validate", *args)
@@ -836,6 +847,11 @@ def test_budget_beyond_float_range_is_an_input_error():
 
 _TINY_WIDTHS = ("--bw-elev-deg", "1e-200", "--bw-azim-deg", "1e-200")
 _HUGE = "1" + "0" * 24
+# rows = 1 widens elevation so far that the 1 x 1 gain underflows to 0
+_WIDE_BEAM = (
+    "--elements", "5000", "--bw-elev-deg", "1e150", "--bw-azim-deg", "1",
+    "--asd-deg", "1e162", "--zsd-deg", "0",
+)
 
 
 @pytest.mark.parametrize(
@@ -888,6 +904,19 @@ _HUGE = "1" + "0" * 24
              "1" + "0" * 20, "--allowed-geometries", "1x1" + "0" * 20),
             "element",
         ),
+        # a subnormal azimuth width at one element, whose grid count
+        # overflowed to inf (error[internal], then error[oracle] before)
+        (
+            ("validate", "--bw-elev-deg", "1e300", "--bw-azim-deg", "1e-318", "--rows", "1",
+             "--cols", "1"),
+            "element",
+        ),
+        # widths that leave the 1 x 1 gain at zero: optimize printed
+        # -3044.837547 dBi, and sweep and sweep --out failed after 2,500 rows
+        *(
+            ((command, *_WIDE_BEAM, *extra), "input")
+            for command, extra in (("optimize", ()), ("sweep", ()), ("sweep", ("--out", "x.csv")))
+        ),
     ],
     ids=[
         "huge-array-gain",
@@ -900,15 +929,21 @@ _HUGE = "1" + "0" * 24
         "eirp-headroom",
         "subnormal-width-validate",
         "subnormal-width-optimize",
+        "azimuth-overflow",
+        "zero-gain-optimize",
+        "zero-gain-sweep",
+        "zero-gain-sweep-out",
     ],
 )
-def test_gain_beyond_float_range_is_a_typed_error(args, code):
+def test_gain_beyond_float_range_is_a_typed_error(args, code, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     result = _run(*args)
     assert result.returncode == 1
     assert result.stdout == ""
     lines = result.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"error[{code}]: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_subnormal_nominal_width_is_named():

@@ -120,11 +120,6 @@ def test_grid_for_refines_for_narrow_features():
     assert narrow_spread.elev_spacing <= 0.2 * DEG / 8 * (1 + 1e-12)
 
 
-def test_grid_for_azimuth_cap_is_even():
-    grid = grid_for(bw_elev_rad=10 * DEG, bw_azim_rad=0.01 * DEG, max_azim_samples=10_001)
-    assert grid.n_azim == 10_000
-
-
 def test_grid_for_rejects_elevation_past_the_cap_before_allocating():
     # a 5 dBi element in 10**7 rows: 316,027,492 elevation samples, 2.4 GiB
     # an array; the count is arithmetic, so nothing the size of it exists
