@@ -71,7 +71,6 @@ _HOMES = {
     "MeasurementRecord": "scenario",
     "Scenario": "scenario",
     "load_measurements_csv": "scenario",
-    "parse_scenario_file": "scenario",
 }
 
 

@@ -42,12 +42,7 @@ from operator import eq, mul, truediv
 
 from .beam import ArrayGeometry, effective_gain, nominal_beamwidths
 from .errors import ArrayGainError, OracleUnavailableError, ScenarioError
-from .scenario import (
-    Scenario,
-    load_measurements_csv,
-    parse_geometry_list,
-    read_scenario_values,
-)
+from .scenario import Scenario, load_measurements_csv, merged, parse_geometry_list
 from .units import linear_to_db
 
 SWEEP_HEADER = "rows,cols,effective_gain_dbi,is_optimum"
@@ -106,38 +101,12 @@ def _add_scenario_flags(parser: argparse.ArgumentParser, budget: bool, geometry:
         parser.add_argument("--cols", type=int, metavar="C", help="array cols")
 
 
-_SCENARIO_FIELD_ARGS = (
-    "element_gain_dbi",
-    "bw_elev_deg",
-    "bw_azim_deg",
-    "n_elements",
-    "asd_deg",
-    "zsd_deg",
-    "eirp_dbm",
-    "per_element_power_dbm",
-    "rows",
-    "cols",
-)
-
-
 def _scenario_from_args(args: argparse.Namespace) -> Scenario:
-    values = read_scenario_values(args.scenario) if args.scenario else {}
-    overrides: dict = {}
-    for name in _SCENARIO_FIELD_ARGS:
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "allowed_geometries", None) is not None:
-        overrides["allowed_geometries"] = parse_geometry_list(args.allowed_geometries)
-    # a flag-supplied element description replaces the file's, whichever
-    # form each uses; a mixed result is rejected by Scenario itself
-    if "element_gain_dbi" in overrides:
-        values.pop("bw_elev_deg", None)
-        values.pop("bw_azim_deg", None)
-    elif "bw_elev_deg" in overrides and "bw_azim_deg" in overrides:
-        values.pop("element_gain_dbi", None)
-    values.update(overrides)
-    return Scenario(**values)
+    # every flag by its dest; merged takes those named like scenario keys
+    overrides = vars(args)
+    if (text := overrides.get("allowed_geometries")) is not None:
+        overrides = {**overrides, "allowed_geometries": parse_geometry_list(text)}
+    return merged(getattr(args, "scenario", None) or None, overrides)
 
 
 # sweep blocks end at multiples of this many columns, so from cols = 1,000
@@ -296,19 +265,24 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .optimize import _row_runs, optimal_geometry_integer
+    from .optimize import _check_fits, _row_runs, optimal_geometry_integer
 
     scenario = _scenario_from_args(args)
     element = scenario.element()
     spread = scenario.spread()
     budget = scenario.budget()
+    listed = None
     if args.geometries is None or args.geometries == "all":
         runs = _row_runs(budget)
-        restriction = scenario.allowed_geometries
     else:
-        restriction = parse_geometry_list(args.geometries)
-        runs = ((geom.rows, range(geom.cols, geom.cols + 1)) for geom in restriction)
+        listed = parse_geometry_list(args.geometries)
+        runs = ((geom.rows, range(geom.cols, geom.cols + 1)) for geom in listed)
+    # the optimum comes from the allowed list when there is one, else from LIST
+    restriction = listed if scenario.allowed_geometries is None else scenario.allowed_geometries
     winner = optimal_geometry_integer(budget, element, spread, restriction).integer_best
+    if listed is not None:
+        # every listed row fits the budget, whichever list the optimum came from
+        _check_fits(listed, budget)
     _write_sweep(args.out, element, spread, runs, winner)
     return 0
 
@@ -321,16 +295,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     result = estimate_ls(gains)
 
     element = None
-    if (
-        args.element_gain_dbi is not None
-        or args.bw_elev_deg is not None
-        or args.bw_azim_deg is not None
-    ):
-        element = Scenario(
-            element_gain_dbi=args.element_gain_dbi,
-            bw_elev_deg=args.bw_elev_deg,
-            bw_azim_deg=args.bw_azim_deg,
-        ).element()
+    if (args.element_gain_dbi, args.bw_elev_deg, args.bw_azim_deg) != (None, None, None):
+        element = _scenario_from_args(args).element()
 
     lines = [
         f"measurements: {len(records)} (baseline index {args.baseline_index})",

@@ -33,7 +33,8 @@ class DegenerateElementError(ArrayGainError):
 
 
 class DegenerateSpreadError(ArrayGainError):
-    """Zero spread on an axis where the closed-form optimum needs it positive."""
+    """Spreads the closed-form optimum cannot take: zero on an axis, or a
+    ratio so extreme that its rows or cols is not a normal, finite float."""
 
     code = "spread"
 

@@ -25,6 +25,7 @@ from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 
 from .beam import (
+    _NORMAL,
     _REL_TOL,
     AngularSpread,
     ArrayGeometry,
@@ -120,7 +121,9 @@ def optimal_geometry_continuous(
     DegenerateSpreadError
         If either spread component is zero; the matching condition has
         no finite solution there.  Use :func:`optimal_geometry_integer`,
-        whose scan handles the degenerate axis naturally.
+        whose scan handles the degenerate axis naturally.  Also if the
+        spread ratio is so extreme that rows or cols is not a normal,
+        finite float.
     """
     _check_budget(n_elements, element, spread)
     if spread.asd_rad == 0.0 or spread.zsd_rad == 0.0:
@@ -131,7 +134,14 @@ def optimal_geometry_continuous(
         n_elements * element.bw_elev_rad * spread.asd_rad
         / (element.bw_azim_rad * spread.zsd_rad)
     )
-    return ContinuousGeometry(rows_real=rows, cols_real=n_elements / rows)
+    cols = n_elements / rows if rows > 0.0 else 0.0
+    # an extreme spread ratio pushes rows or cols past the float range
+    if not (_NORMAL <= rows < math.inf and _NORMAL <= cols < math.inf):
+        raise DegenerateSpreadError(
+            f"degenerate spread: asd_rad = {spread.asd_rad!r} and zsd_rad = "
+            f"{spread.zsd_rad!r} put the closed-form geometry beyond float range"
+        )
+    return ContinuousGeometry(rows_real=rows, cols_real=cols)
 
 
 def _run(n: int, cols: int) -> range:
@@ -190,6 +200,15 @@ def _scan_runs(n: int, element: ElementPattern, spread: AngularSpread, start: in
     return n // cols, cols
 
 
+def _check_fits(geometries: Sequence[ArrayGeometry], n_elements: int) -> None:
+    # shared with sweep, whose listed rows must fit the budget too
+    for geom in geometries:
+        if geom.n_elements > n_elements:
+            raise ValueError(
+                f"geometry {geom.rows}x{geom.cols} exceeds the element budget {n_elements}"
+            )
+
+
 def optimal_geometry_integer(
     n_elements: int,
     element: ElementPattern,
@@ -231,11 +250,7 @@ def optimal_geometry_integer(
     if allowed_geometries is not None:
         if not allowed_geometries:
             raise ValueError("allowed_geometries is empty")
-        for geom in allowed_geometries:
-            if geom.n_elements > n_elements:
-                raise ValueError(
-                    f"geometry {geom.rows}x{geom.cols} exceeds the element budget {n_elements}"
-                )
+        _check_fits(allowed_geometries, n_elements)
         _, rows, cols = _select(
             [
                 (effective_gain_value(element, geom.rows, geom.cols, spread), geom.rows, geom.cols)

@@ -5,7 +5,9 @@ A scenario bundles everything a command needs: the element description
 channel spreads, and optional budget inputs (element count, EIRP cap
 with per-element power) or a pinned geometry.  Scenario files are flat
 ``key = value`` text, one setting per line, ``#`` comments allowed, so
-an experiment is reproducible from a file that diffs cleanly.
+an experiment is reproducible from a file that diffs cleanly; ``_KEYS``
+names every key and how its text is read, and :func:`merged` lays flag
+values over a file.
 
 Measurement CSVs carry raw sub-array power logs with the header
 ``rows,cols,tx_power_dbm,rx_power_dbm``.
@@ -42,6 +44,22 @@ def parse_geometry_list(text: str) -> tuple[ArrayGeometry, ...]:
     return tuple(parse_geometry(item) for item in items)
 
 
+# each scenario key in field order, and the reader of its text in a file
+_KEYS = {
+    "element_gain_dbi": float,
+    "bw_elev_deg": float,
+    "bw_azim_deg": float,
+    "n_elements": int,
+    "asd_deg": float,
+    "zsd_deg": float,
+    "eirp_dbm": float,
+    "per_element_power_dbm": float,
+    "allowed_geometries": parse_geometry_list,
+    "rows": int,
+    "cols": int,
+}
+
+
 class Scenario(Value):
     """One experiment setup: element, spreads, and optional constraints.
 
@@ -51,19 +69,7 @@ class Scenario(Value):
     that evaluate rather than optimize.
     """
 
-    __slots__ = (
-        "element_gain_dbi",
-        "bw_elev_deg",
-        "bw_azim_deg",
-        "n_elements",
-        "asd_deg",
-        "zsd_deg",
-        "eirp_dbm",
-        "per_element_power_dbm",
-        "allowed_geometries",
-        "rows",
-        "cols",
-    )
+    __slots__ = tuple(_KEYS)
 
     def __init__(
         self,
@@ -188,25 +194,11 @@ class Scenario(Value):
         )
 
 
-_INT_KEYS = {"n_elements", "rows", "cols"}
-_FLOAT_KEYS = {
-    "element_gain_dbi",
-    "bw_elev_deg",
-    "bw_azim_deg",
-    "asd_deg",
-    "zsd_deg",
-    "eirp_dbm",
-    "per_element_power_dbm",
-}
-_SCENARIO_KEYS = _INT_KEYS | _FLOAT_KEYS | {"allowed_geometries"}
-
-
 def read_scenario_values(path: str) -> dict:
     """Parse a scenario file into a keyword dict, without cross-field checks.
 
-    The CLI merges these with flag overrides before building the
-    Scenario; library users normally want :func:`parse_scenario_file`.
-    Diagnostics carry file and line number.
+    :func:`merged` lays flag values over these before it builds the
+    Scenario.  Diagnostics carry file and line number.
     """
     values: dict = {}
     with open(path, encoding="utf-8") as fh:
@@ -219,32 +211,36 @@ def read_scenario_values(path: str) -> dict:
             text = text.strip()
             if not sep or not key or not text:
                 raise ScenarioError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            if key not in _SCENARIO_KEYS:
+            read = _KEYS.get(key)
+            if read is None:
                 raise ScenarioError(f"{path}:{lineno}: unknown key {key!r}")
             if key in values:
                 raise ScenarioError(f"{path}:{lineno}: duplicate key {key!r}")
             try:
-                if key in _INT_KEYS:
-                    values[key] = int(text)
-                elif key in _FLOAT_KEYS:
-                    values[key] = float(text)
-                else:
-                    values[key] = parse_geometry_list(text)
+                values[key] = read(text)
             except (ValueError, ScenarioError) as exc:
                 raise ScenarioError(f"{path}:{lineno}: field {key}: {exc}") from None
     return values
 
 
-def parse_scenario_file(path: str) -> Scenario:
-    """Read and validate a scenario file.
+def merged(path: str | None, overrides: dict) -> Scenario:
+    """The Scenario of the file at path (none when None) with overrides on top.
 
-    Raises
-    ------
-    ScenarioError
-        With file and line number for syntax or value problems, or a
-        field-level message for cross-field violations.
+    Every override whose key is a scenario key and whose value is not None
+    replaces the file's value; any other entry is ignored.  An element
+    description in the overrides replaces the file's, whichever form each
+    uses: a gain drops the file's two widths, and two widths drop its gain.
+    A single width over the file's gain stays mixed, and Scenario rejects it.
     """
-    return Scenario(**read_scenario_values(path))
+    values = read_scenario_values(path) if path is not None else {}
+    given = {key: value for key in _KEYS if (value := overrides.get(key)) is not None}
+    if "element_gain_dbi" in given:
+        values.pop("bw_elev_deg", None)
+        values.pop("bw_azim_deg", None)
+    elif "bw_elev_deg" in given and "bw_azim_deg" in given:
+        values.pop("element_gain_dbi", None)
+    values.update(given)
+    return Scenario(**values)
 
 
 class MeasurementRecord(Value):

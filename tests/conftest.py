@@ -1,14 +1,18 @@
 """Let the CLI tests' `python -m arraygain` children import the sources
 under test, with or without PYTHONPATH set by the caller; and share the
-contract every public value type keeps."""
+contract every public value type keeps, spreads given in degrees, and the
+brute-force reference of the integer optimum."""
 
 import copy
+import math
 import os
 import pickle
 import re
 from pathlib import Path
 
 import pytest
+
+from arraygain import AngularSpread, effective_gain_value
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
@@ -44,3 +48,32 @@ def check_value_type():
     """Construction, repr, immutability, equality and validation of one
     public value type."""
     return _check_value_type
+
+
+def _spread_deg(zsd: float, asd: float) -> AngularSpread:
+    return AngularSpread(zsd_rad=math.radians(zsd), asd_rad=math.radians(asd))
+
+
+@pytest.fixture
+def spread_deg():
+    """An AngularSpread from its elevation and azimuth spreads in degrees."""
+    return _spread_deg
+
+
+def _brute_force_best(n, element, spread):
+    # every feasible pair: the tallest within 1e-12 of the best gain, the
+    # fewest cols among equal rows
+    scored = [
+        (effective_gain_value(element, rows, cols, spread), rows, cols)
+        for cols in range(1, n + 1)
+        for rows in range(1, n // cols + 1)
+    ]
+    bar = max(gain for gain, _, _ in scored) * (1 - 1e-12)
+    return min((c for c in scored if c[0] >= bar), key=lambda c: (-c[1], c[2]))
+
+
+@pytest.fixture
+def brute_force_best():
+    """(gain, rows, cols) of the integer optimum within budget n, from an
+    independent scan over every feasible (rows, cols) pair."""
+    return _brute_force_best

@@ -56,25 +56,9 @@ def _verdict(capsys, slug: str, ok: bool, detail: str) -> None:
     assert ok, f"{slug}: {detail}"
 
 
-def _spread_deg(zsd: float, asd: float) -> AngularSpread:
-    return AngularSpread(zsd_rad=math.radians(zsd), asd_rad=math.radians(asd))
-
-
-def _brute_force_best(n, element, spread):
-    # every feasible pair: the tallest within 1e-12 of the best gain, the
-    # fewest cols among equal rows
-    scored = [
-        (effective_gain_value(element, rows, cols, spread), rows, cols)
-        for cols in range(1, n + 1)
-        for rows in range(1, n // cols + 1)
-    ]
-    bar = max(gain for gain, _, _ in scored) * (1 - 1e-12)
-    return min((c for c in scored if c[0] >= bar), key=lambda c: (-c[1], c[2]))
-
-
-def test_reference_gains(capsys):
+def test_reference_gains(capsys, spread_deg):
     element = element_pattern_from_gain(8.0)
-    spread = _spread_deg(zsd=1.0, asd=16.0)
+    spread = spread_deg(zsd=1.0, asd=16.0)
     wide = effective_gain(element, ArrayGeometry(8, 16), spread).effective_gain_dbi
     tall = effective_gain(element, ArrayGeometry(42, 3), spread).effective_gain_dbi
 
@@ -92,20 +76,20 @@ def test_reference_gains(capsys):
     )
 
 
-def test_optimal_geometries(capsys):
+def test_optimal_geometries(capsys, brute_force_best, spread_deg):
     element = element_pattern_from_gain(5.0)
 
-    strong = _spread_deg(zsd=5.0, asd=22.0)
+    strong = spread_deg(zsd=5.0, asd=22.0)
     strong_best = optimal_geometry_integer(256, element, strong).integer_best
-    strong_brute = _brute_force_best(256, element, strong)
+    strong_brute = brute_force_best(256, element, strong)
     strong_ok = (
         (strong_best.rows, strong_best.cols) == (32, 8)
         and (strong_brute[1], strong_brute[2]) == (32, 8)
     )
 
-    mild = _spread_deg(zsd=0.6, asd=14.0)
+    mild = spread_deg(zsd=0.6, asd=14.0)
     mild_result = optimal_geometry_integer(256, element, mild)
-    mild_brute = _brute_force_best(256, element, mild)
+    mild_brute = brute_force_best(256, element, mild)
     highlight = effective_gain(element, ArrayGeometry(85, 3), mild)
     gap_db = mild_result.integer_gain.effective_gain_dbi - highlight.effective_gain_dbi
     mild_ok = (
@@ -124,9 +108,9 @@ def test_optimal_geometries(capsys):
     )
 
 
-def test_geometry_gain_deltas(capsys):
+def test_geometry_gain_deltas(capsys, spread_deg):
     element = element_pattern_from_gain(5.0)
-    spread = _spread_deg(zsd=0.6, asd=14.0)
+    spread = spread_deg(zsd=0.6, asd=14.0)
     tall = effective_gain(element, ArrayGeometry(64, 4), spread).effective_gain_dbi
     square = effective_gain(element, ArrayGeometry(16, 16), spread).effective_gain_dbi
     fat = effective_gain(element, ArrayGeometry(1, 256), spread).effective_gain_dbi
@@ -223,7 +207,7 @@ def test_spread_estimator(capsys):
     )
 
 
-def test_oracle_agreement(capsys):
+def test_oracle_agreement(capsys, spread_deg):
     widths = np.linspace(1.0, 30.0, 5)
     spreads = np.linspace(0.0, 30.0, 5)
     conv_worst = 0.0
@@ -238,7 +222,7 @@ def test_oracle_agreement(capsys):
             )
             for zsd_deg in spreads:
                 for asd_deg in spreads:
-                    spread = _spread_deg(zsd=float(zsd_deg), asd=float(asd_deg))
+                    spread = spread_deg(zsd=float(zsd_deg), asd=float(asd_deg))
                     analytic = effective_gain(element, geom, spread)
 
                     grid = grid_for(element.bw_elev_rad, element.bw_azim_rad, spread)

@@ -31,10 +31,6 @@ from arraygain import (
 )
 
 
-def _spread_deg(zsd: float, asd: float) -> AngularSpread:
-    return AngularSpread(zsd_rad=math.radians(zsd), asd_rad=math.radians(asd))
-
-
 def _reference_gains(element, geom, spread):
     # nominal widths -> hypot widening -> 2 / (product), written out apart
     # from the package's one gain path
@@ -206,18 +202,18 @@ def test_nominal_gain_256_elements_5dbi():
     assert 10.0 * math.log10(beam.gain_linear) == pytest.approx(29.08, abs=0.05)
 
 
-def test_reference_effective_gains():
+def test_reference_effective_gains(spread_deg):
     eight = element_pattern_from_gain(8.0)
-    spread = _spread_deg(zsd=1.0, asd=16.0)
+    spread = spread_deg(zsd=1.0, asd=16.0)
     wide = effective_gain(eight, ArrayGeometry(8, 16), spread)
     assert wide.effective_gain_dbi == pytest.approx(19.91, abs=0.02)
     tall = effective_gain(eight, ArrayGeometry(42, 3), spread)
     assert tall.effective_gain_dbi == pytest.approx(24.31, abs=0.02)
 
 
-def test_tall_vs_square_vs_fat_deltas():
+def test_tall_vs_square_vs_fat_deltas(spread_deg):
     five = element_pattern_from_gain(5.0)
-    spread = _spread_deg(zsd=0.6, asd=14.0)
+    spread = spread_deg(zsd=0.6, asd=14.0)
     g = {
         geom: effective_gain(five, ArrayGeometry(*geom), spread).effective_gain_dbi
         for geom in [(64, 4), (16, 16), (1, 256)]
@@ -226,9 +222,9 @@ def test_tall_vs_square_vs_fat_deltas():
     assert g[(64, 4)] - g[(1, 256)] == pytest.approx(16.0, abs=0.5)
 
 
-def test_gain_report_db_fields_match_linear():
+def test_gain_report_db_fields_match_linear(spread_deg):
     report = effective_gain(
-        element_pattern_from_gain(5.0), ArrayGeometry(8, 4), _spread_deg(2.0, 11.0)
+        element_pattern_from_gain(5.0), ArrayGeometry(8, 4), spread_deg(2.0, 11.0)
     )
     for linear, dbi in [
         (report.nominal_gain_linear, report.nominal_gain_dbi),
@@ -251,9 +247,9 @@ def test_zero_spread_consistency():
         assert report.effective_gain_linear == report.nominal_gain_linear
 
 
-def test_effective_gain_value_matches_integer_path():
+def test_effective_gain_value_matches_integer_path(spread_deg):
     element = element_pattern_from_gain(8.0)
-    spread = _spread_deg(1.0, 16.0)
+    spread = spread_deg(1.0, 16.0)
     report = effective_gain(element, ArrayGeometry(8, 16), spread)
     assert effective_gain_value(element, 8, 16, spread) == report.effective_gain_linear
     with pytest.raises(ValueError):
@@ -286,12 +282,12 @@ def test_random_orderings_and_widening():
         assert report.effective_gain_linear <= report.upper_bound_linear * tol
 
 
-def test_gain_strictly_decreases_in_each_spread():
+def test_gain_strictly_decreases_in_each_spread(spread_deg):
     element = element_pattern_from_gain(6.0)
     geom = ArrayGeometry(12, 6)
-    base = effective_gain(element, geom, _spread_deg(2.0, 9.0)).effective_gain_linear
-    more_zsd = effective_gain(element, geom, _spread_deg(2.5, 9.0)).effective_gain_linear
-    more_asd = effective_gain(element, geom, _spread_deg(2.0, 9.5)).effective_gain_linear
+    base = effective_gain(element, geom, spread_deg(2.0, 9.0)).effective_gain_linear
+    more_zsd = effective_gain(element, geom, spread_deg(2.5, 9.0)).effective_gain_linear
+    more_asd = effective_gain(element, geom, spread_deg(2.0, 9.5)).effective_gain_linear
     assert more_zsd < base
     assert more_asd < base
 

@@ -322,6 +322,31 @@ def test_sweep_rows_match_the_per_row_reference(tmp_path, capsys):
     assert len(seen) >= 4
 
 
+def test_sweep_list_takes_its_optimum_from_the_allowed_list(tmp_path, capsys):
+    # LIST names the rows written; an allowed list, from a flag or a scenario
+    # file, names the geometries the optimum comes from, as in optimize
+    flags = ["--elements", "8", "--element-gain-dbi", "5", "--asd-deg", "14", "--zsd-deg", "1"]
+    scenario = Scenario(element_gain_dbi=5.0, n_elements=8, asd_deg=14.0, zsd_deg=1.0)
+    listed = [(8, 1), (2, 4)]
+    want, _ = _reference_sweep_text(scenario, listed, [ArrayGeometry(2, 4)])
+    assert want.splitlines()[1:] == ["8,1,13.769091,0", "2,4,12.027979,1"]
+    case = tmp_path / "case.txt"
+    case.write_text("allowed_geometries = 2x4\n")
+    for extra in (["--allowed-geometries", "2x4"], ["--scenario", str(case)]):
+        assert cli.main(["sweep", *flags, "--geometries", "8x1,2x4", *extra]) == 0
+        assert capsys.readouterr().out == want
+    assert cli.main(["optimize", *flags, "--allowed-geometries", "2x4"]) == 0
+    assert "integer optimum: 2 x 4 (8 elements)" in capsys.readouterr().out.splitlines()
+    # without an allowed list the optimum is LIST's best
+    assert cli.main(["sweep", *flags, "--geometries", "8x1,2x4"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["8,1,13.769091,1", "2,4,12.027979,0"]
+    # every listed geometry must still fit the budget
+    assert cli.main(["sweep", *flags, "--geometries", "8x1,3x4", "--allowed-geometries", "2x4"]) == 1
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == "error[input]: geometry 3x4 exceeds the element budget 8\n"
+
+
 @pytest.mark.parametrize(
     "values, n, geometries, to_file, code",
     [
@@ -917,6 +942,15 @@ _WIDE_BEAM = (
             ((command, *_WIDE_BEAM, *extra), "input")
             for command, extra in (("optimize", ()), ("sweep", ()), ("sweep", ("--out", "x.csv")))
         ),
+        # a spread ratio whose closed-form rows underflows to 0 (error[internal]
+        # "float division by zero" before) or overflows to inf (error[input]
+        # "rows_real must be finite and > 0", which named no input)
+        *(
+            ((command, "--elements", "256", "--element-gain-dbi", "5", "--asd-deg", asd,
+              "--zsd-deg", zsd), "spread")
+            for asd, zsd in (("1e-320", "1e300"), ("1e300", "1e-300"))
+            for command in ("optimize", "sweep")
+        ),
     ],
     ids=[
         "huge-array-gain",
@@ -933,6 +967,10 @@ _WIDE_BEAM = (
         "zero-gain-optimize",
         "zero-gain-sweep",
         "zero-gain-sweep-out",
+        "rows-underflow-optimize",
+        "rows-underflow-sweep",
+        "rows-overflow-optimize",
+        "rows-overflow-sweep",
     ],
 )
 def test_gain_beyond_float_range_is_a_typed_error(args, code, tmp_path, monkeypatch):
@@ -966,6 +1004,15 @@ def test_estimate_rejects_widths_beyond_float_range(tmp_path):
 def test_scenario_error():
     result = _run("optimize", "--elements", "16")
     assert result.returncode == 1
+    assert result.stderr.startswith("error[scenario]: element description missing")
+
+
+def test_estimate_needs_a_whole_element_description(tmp_path):
+    csv = tmp_path / "m.csv"
+    _forward_csv(csv, zsd_sq=0.0009, asd_sq=0.04)
+    result = _run("estimate", str(csv), "--bw-elev-deg", "20")
+    assert result.returncode == 1
+    assert result.stdout == ""
     assert result.stderr.startswith("error[scenario]: element description missing")
 
 

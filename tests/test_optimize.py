@@ -48,10 +48,6 @@ from arraygain import cli
 from arraygain.optimize import _row_runs
 
 
-def _spread_deg(zsd: float, asd: float) -> AngularSpread:
-    return AngularSpread(zsd_rad=math.radians(zsd), asd_rad=math.radians(asd))
-
-
 def _exhaustive_best(n, element, spread, cols_range=None):
     # reference for the walk over runs: every cols in 1..N (or in cols_range)
     # with rows = N // cols; the smallest cols, so the tallest array, whose
@@ -64,18 +60,6 @@ def _exhaustive_best(n, element, spread, cols_range=None):
     return next(c for c in scored if c[0] >= bar)
 
 
-def _brute_force_best(n, element, spread):
-    # independent oracle: every feasible pair, the same rule; among equal
-    # rows the fewest cols
-    scored = [
-        (effective_gain_value(element, rows, cols, spread), rows, cols)
-        for cols in range(1, n + 1)
-        for rows in range(1, n // cols + 1)
-    ]
-    bar = max(gain for gain, _, _ in scored) * (1 - 1e-12)
-    return min((c for c in scored if c[0] >= bar), key=lambda c: (-c[1], c[2]))
-
-
 # --- upper bound --------------------------------------------------------
 
 def test_bound_collapses_to_nominal_at_zero_spread():
@@ -84,9 +68,9 @@ def test_bound_collapses_to_nominal_at_zero_spread():
     assert bound == pytest.approx(256 * element.gain_linear, rel=1e-12)
 
 
-def test_no_feasible_geometry_beats_bound():
+def test_no_feasible_geometry_beats_bound(spread_deg):
     element = element_pattern_from_gain(5.0)
-    spread = _spread_deg(5.0, 22.0)
+    spread = spread_deg(5.0, 22.0)
     bound = gain_upper_bound(256, element, spread)
     for cols in range(1, 257):
         for rows in range(1, 256 // cols + 1):
@@ -94,9 +78,9 @@ def test_no_feasible_geometry_beats_bound():
             assert gain <= bound * (1 + 1e-12)
 
 
-def test_bound_with_single_element():
+def test_bound_with_single_element(spread_deg):
     element = element_pattern_from_gain(5.0)
-    spread = _spread_deg(3.0, 3.0)
+    spread = spread_deg(3.0, 3.0)
     bound = gain_upper_bound(1, element, spread)
     single = effective_gain_value(element, 1, 1, spread)
     assert single <= bound * (1 + 1e-12)
@@ -107,19 +91,19 @@ def test_bound_with_single_element():
 
 # --- continuous optimum -------------------------------------------------
 
-def test_continuous_symmetric_case():
+def test_continuous_symmetric_case(spread_deg):
     element = element_pattern_from_gain(5.0)
-    result = optimal_geometry_continuous(256, element, _spread_deg(4.0, 4.0))
+    result = optimal_geometry_continuous(256, element, spread_deg(4.0, 4.0))
     assert result.rows_real == pytest.approx(16.0, rel=1e-12)
     assert result.cols_real == pytest.approx(16.0, rel=1e-12)
 
 
-def test_continuous_published_cases():
+def test_continuous_published_cases(spread_deg):
     element = element_pattern_from_gain(5.0)
-    strong = optimal_geometry_continuous(256, element, _spread_deg(5.0, 22.0))
+    strong = optimal_geometry_continuous(256, element, spread_deg(5.0, 22.0))
     assert strong.rows_real == pytest.approx(33.56, abs=0.01)
     assert strong.cols_real == pytest.approx(7.63, abs=0.01)
-    mild = optimal_geometry_continuous(256, element, _spread_deg(0.6, 14.0))
+    mild = optimal_geometry_continuous(256, element, spread_deg(0.6, 14.0))
     assert mild.rows_real == pytest.approx(77.3, abs=0.05)
     assert mild.cols_real == pytest.approx(3.31, abs=0.01)
 
@@ -160,9 +144,9 @@ def test_continuous_attains_bound():
         assert at_opt == pytest.approx(gain_upper_bound(n, element, spread), rel=1e-9)
 
 
-def test_continuous_invariant_under_common_spread_scaling():
+def test_continuous_invariant_under_common_spread_scaling(spread_deg):
     element = element_pattern_from_gain(5.0)
-    base = optimal_geometry_continuous(256, element, _spread_deg(0.6, 14.0))
+    base = optimal_geometry_continuous(256, element, spread_deg(0.6, 14.0))
     scaled = optimal_geometry_continuous(
         256, element, AngularSpread(zsd_rad=math.radians(0.6) * 3.7, asd_rad=math.radians(14.0) * 3.7)
     )
@@ -170,12 +154,12 @@ def test_continuous_invariant_under_common_spread_scaling():
     assert scaled.cols_real == pytest.approx(base.cols_real, rel=1e-12)
 
 
-def test_continuous_rejects_degenerate_spread():
+def test_continuous_rejects_degenerate_spread(spread_deg):
     element = element_pattern_from_gain(5.0)
     with pytest.raises(DegenerateSpreadError, match="degenerate spread"):
-        optimal_geometry_continuous(256, element, _spread_deg(0.0, 14.0))
+        optimal_geometry_continuous(256, element, spread_deg(0.0, 14.0))
     with pytest.raises(DegenerateSpreadError):
-        optimal_geometry_continuous(256, element, _spread_deg(0.6, 0.0))
+        optimal_geometry_continuous(256, element, spread_deg(0.6, 0.0))
 
 
 def test_continuous_geometry_validation():
@@ -210,15 +194,15 @@ def test_value_types(check_value_type):
 
 # --- integer scan -------------------------------------------------------
 
-def test_integer_optimum_strong_spread():
-    result = optimal_geometry_integer(256, element_pattern_from_gain(5.0), _spread_deg(5.0, 22.0))
+def test_integer_optimum_strong_spread(spread_deg):
+    result = optimal_geometry_integer(256, element_pattern_from_gain(5.0), spread_deg(5.0, 22.0))
     assert (result.integer_best.rows, result.integer_best.cols) == (32, 8)
     assert result.integer_gain.effective_gain_linear <= result.bound_gain_linear
 
 
-def test_integer_optimum_mild_spread_is_85x3():
+def test_integer_optimum_mild_spread_is_85x3(spread_deg):
     element = element_pattern_from_gain(5.0)
-    spread = _spread_deg(0.6, 14.0)
+    spread = spread_deg(0.6, 14.0)
     result = optimal_geometry_integer(256, element, spread)
     assert (result.integer_best.rows, result.integer_best.cols) == (85, 3)
     reference = effective_gain(element, ArrayGeometry(85, 3), spread)
@@ -226,9 +210,9 @@ def test_integer_optimum_mild_spread_is_85x3():
     assert abs(delta_db) <= 0.05
 
 
-def test_integer_128_elements_8dbi():
+def test_integer_128_elements_8dbi(spread_deg):
     element = element_pattern_from_gain(8.0)
-    spread = _spread_deg(1.0, 16.0)
+    spread = spread_deg(1.0, 16.0)
     result = optimal_geometry_integer(128, element, spread)
     assert result.integer_gain.effective_gain_dbi >= 24.31 - 0.02
     reference = effective_gain(element, ArrayGeometry(42, 3), spread)
@@ -243,12 +227,12 @@ def test_integer_zero_spread_tie_breaks_tall():
         assert result.continuous is None
 
 
-def test_integer_matches_brute_force():
+def test_integer_matches_brute_force(brute_force_best, spread_deg):
     rng = np.random.default_rng(41)
     cases = [
-        (256, element_pattern_from_gain(5.0), _spread_deg(5.0, 22.0)),
-        (256, element_pattern_from_gain(5.0), _spread_deg(0.6, 14.0)),
-        (128, element_pattern_from_gain(8.0), _spread_deg(1.0, 16.0)),
+        (256, element_pattern_from_gain(5.0), spread_deg(5.0, 22.0)),
+        (256, element_pattern_from_gain(5.0), spread_deg(0.6, 14.0)),
+        (128, element_pattern_from_gain(8.0), spread_deg(1.0, 16.0)),
         (60, element_pattern_from_gain(5.0), AngularSpread(0.0, 0.0)),
     ]
     for _ in range(12):
@@ -266,7 +250,7 @@ def test_integer_matches_brute_force():
         )
     for n, element, spread in cases:
         result = optimal_geometry_integer(n, element, spread)
-        best_gain, best_rows, best_cols = _brute_force_best(n, element, spread)
+        best_gain, best_rows, best_cols = brute_force_best(n, element, spread)
         assert result.integer_gain.effective_gain_linear == pytest.approx(best_gain, rel=1e-12)
         assert (result.integer_best.rows, result.integer_best.cols) == (best_rows, best_cols)
 
@@ -341,13 +325,13 @@ def test_pruned_scan_matches_exhaustive_scan_on_dense_near_ties():
         assert (best.rows, best.cols) == _exhaustive_best(n, element, spread)[1:]
 
 
-def test_flat_envelope_scan_keeps_constant_memory():
+def test_flat_envelope_scan_keeps_constant_memory(spread_deg):
     # every geometry of a 300 dBi element ties within the tolerance: a scan
     # that lists its candidates holds the whole budget (130 MiB traced)
     element = element_pattern_from_gain(300.0)
     tracemalloc.start()
     try:
-        result = optimal_geometry_integer(10**6, element, _spread_deg(5.0, 10.0))
+        result = optimal_geometry_integer(10**6, element, spread_deg(5.0, 10.0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -355,9 +339,9 @@ def test_flat_envelope_scan_keeps_constant_memory():
     assert peak < 2**20
 
 
-def test_integer_large_budget_is_a_local_optimum_under_the_bound():
+def test_integer_large_budget_is_a_local_optimum_under_the_bound(spread_deg):
     element = element_pattern_from_gain(5.0)
-    spread = _spread_deg(5.0, 22.0)
+    spread = spread_deg(5.0, 22.0)
     n = 10**6
     result = optimal_geometry_integer(n, element, spread)
     cols = result.integer_best.cols
@@ -382,14 +366,14 @@ def test_cli_optimize_billion_element_budget_is_fast():
         assert f"integer optimum: {winner} (" in result.stdout
 
 
-def test_integer_scan_matches_a_window_reference_at_large_budgets():
+def test_integer_scan_matches_a_window_reference_at_large_budgets(spread_deg):
     # the exhaustive scan is out of reach here, but any cols whose gain
     # comes within the tolerance of the best has an envelope E(cols), the
     # gain at rows = N / cols, at least that gain: the window of cols where
     # E reaches the bar taken from the winner's gain, less 4 tolerances for
     # the rounding, holds every candidate
     element = element_pattern_from_gain(5.0)
-    spread = _spread_deg(5.0, 22.0)
+    spread = spread_deg(5.0, 22.0)
     for n, winner in (
         (10**9, (66662, 15001)),
         (10**10, (213192, 46906)),
@@ -440,16 +424,16 @@ def test_row_runs_cover_the_sweep_geometries():
         assert len({rows for rows, _ in runs}) == len(runs) <= 2 * math.isqrt(n)
 
 
-def test_integer_scan_refuses_budgets_past_1e12():
+def test_integer_scan_refuses_budgets_past_1e12(spread_deg):
     element = element_pattern_from_gain(5.0)
-    spread = _spread_deg(5.0, 22.0)
+    spread = spread_deg(5.0, 22.0)
     for n in (10**12 + 1, 10**249):
         with pytest.raises(ValueError, match=f"at most 1000000000000 to scan every geometry, got {n};"):
             optimal_geometry_integer(n, element, spread)
     # nothing to scan: a restricted search, and zero spread, where (N, 1) wins
     allowed = [ArrayGeometry(10**7, 10**6)]
     assert optimal_geometry_integer(10**13, element, spread, allowed).integer_best == allowed[0]
-    assert optimal_geometry_integer(10**13, element, _spread_deg(0.0, 0.0)).integer_best == ArrayGeometry(10**13, 1)
+    assert optimal_geometry_integer(10**13, element, spread_deg(0.0, 0.0)).integer_best == ArrayGeometry(10**13, 1)
 
 
 def test_cli_sweep_streams_rows(tmp_path):
@@ -484,9 +468,9 @@ def test_integer_budget_saturation():
         assert best.n_elements > n / 2
 
 
-def test_integer_with_allowed_geometries():
+def test_integer_with_allowed_geometries(spread_deg):
     element = element_pattern_from_gain(5.0)
-    spread = _spread_deg(0.6, 14.0)
+    spread = spread_deg(0.6, 14.0)
     allowed = [ArrayGeometry(32, 8), ArrayGeometry(16, 16)]
     result = optimal_geometry_integer(256, element, spread, allowed)
     assert (result.integer_best.rows, result.integer_best.cols) == (32, 8)
@@ -497,7 +481,7 @@ def test_integer_with_allowed_geometries():
         optimal_geometry_integer(16, element, spread, [])
 
 
-def test_allowed_geometries_winner_does_not_depend_on_list_order():
+def test_allowed_geometries_winner_does_not_depend_on_list_order(spread_deg):
     # 8x30 has the best gain, 40x6 is 0.33e-12 below it and 60x4 1.30e-12:
     # 40x6 is the tallest within the tolerance.  An update in list order
     # could chain 8x30 -> 40x6 -> 60x4 by near-ties
@@ -511,13 +495,13 @@ def test_allowed_geometries_winner_does_not_depend_on_list_order():
     # give equal gains: the first listed wins
     flat = element_pattern_from_gain(300.0)
     for tied in ([ArrayGeometry(2, 5), ArrayGeometry(2, 3)], [ArrayGeometry(2, 3), ArrayGeometry(2, 5)]):
-        best = optimal_geometry_integer(10, flat, _spread_deg(5.0, 5.0), [ArrayGeometry(1, 7), *tied])
+        best = optimal_geometry_integer(10, flat, spread_deg(5.0, 5.0), [ArrayGeometry(1, 7), *tied])
         assert best.integer_best == tied[0]
 
 
-def test_optimization_result_invariant():
+def test_optimization_result_invariant(spread_deg):
     element = element_pattern_from_gain(5.0)
-    spread = _spread_deg(2.0, 9.0)
+    spread = spread_deg(2.0, 9.0)
     report = effective_gain(element, ArrayGeometry(8, 8), spread)
     with pytest.raises(ValueError, match="exceeds the budget-level bound"):
         OptimizationResult(

@@ -13,8 +13,8 @@ from arraygain.scenario import (
     Scenario,
     load_measurements_csv,
     parse_geometry,
+    merged,
     parse_geometry_list,
-    parse_scenario_file,
     read_scenario_values,
 )
 
@@ -142,7 +142,7 @@ def test_scenario_file_round_trip(tmp_path):
         "zsd_deg = 5.0\n"
         "allowed_geometries = 32x8, 16x16\n"
     )
-    scenario = parse_scenario_file(path)
+    scenario = merged(path, {})
     assert scenario == Scenario(
         element_gain_dbi=5.0,
         n_elements=256,
@@ -178,6 +178,49 @@ def test_scenario_file_empty_is_legal_dict(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("# nothing but comments\n\n")
     assert read_scenario_values(path) == {}
+
+
+# --- file and flags merged ---------------------------------------------
+
+def _file(tmp_path, text):
+    path = tmp_path / "case.txt"
+    path.write_text(text + "n_elements = 64\nasd_deg = 22.0\n")
+    return path
+
+
+def test_merged_gain_flag_replaces_file_widths(tmp_path):
+    path = _file(tmp_path, "bw_elev_deg = 40.0\nbw_azim_deg = 50.0\n")
+    assert merged(path, {"element_gain_dbi": 8.0}) == Scenario(
+        element_gain_dbi=8.0, n_elements=64, asd_deg=22.0
+    )
+
+
+def test_merged_width_flags_replace_file_gain(tmp_path):
+    path = _file(tmp_path, "element_gain_dbi = 5.0\n")
+    assert merged(path, {"bw_elev_deg": 40.0, "bw_azim_deg": 50.0}) == Scenario(
+        bw_elev_deg=40.0, bw_azim_deg=50.0, n_elements=64, asd_deg=22.0
+    )
+
+
+def test_merged_one_width_flag_over_file_gain_is_over_specified(tmp_path):
+    path = _file(tmp_path, "element_gain_dbi = 5.0\n")
+    with pytest.raises(ScenarioError, match="over-specified"):
+        merged(path, {"bw_elev_deg": 40.0})
+
+
+def test_merged_ignores_none_and_unknown_overrides(tmp_path):
+    path = _file(tmp_path, "element_gain_dbi = 5.0\n")
+    overrides = {
+        "element_gain_dbi": None, "bw_elev_deg": None, "bw_azim_deg": None, "n_elements": None,
+        "zsd_deg": 5.0, "scenario": str(path), "geometries": "4x4", "func": print,
+    }
+    assert merged(path, overrides) == Scenario(
+        element_gain_dbi=5.0, n_elements=64, asd_deg=22.0, zsd_deg=5.0
+    )
+    # without a file, the overrides alone
+    assert merged(None, {"element_gain_dbi": 5.0, "rows": 4, "cols": 2, "seed": 0}) == Scenario(
+        element_gain_dbi=5.0, rows=4, cols=2
+    )
 
 
 # --- measurement CSV ----------------------------------------------------
