@@ -364,11 +364,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         se_db = 0.0
         mc_ok = mc_err == 0.0
     conv_ok = abs(conv_delta) <= 0.2
+    # a delta that rounds to zero prints unsigned, whichever side it fell on
+    delta_text = f"{conv_delta:.6f}"
+    if delta_text == "-0.000000":
+        delta_text = "0.000000"
 
     lines = [
         f"geometry: {geom.rows} x {geom.cols}",
         f"analytic gain: {analytic.effective_gain_dbi:.6f} dBi",
-        f"convolution gain: {conv_dbi:.6f} dBi (delta {conv_delta:.6f} dB, limit 0.2)",
+        f"convolution gain: {conv_dbi:.6f} dBi (delta {delta_text} dB, limit 0.2)",
         f"monte-carlo gain: {linear_to_db(mc_gain):.6f} dBi +/- {se_db:.6f} dB (z {z_score:.6f}, limit 3)",
         "PASS" if conv_ok and mc_ok else "FAIL",
     ]

@@ -745,6 +745,16 @@ def test_validate_zero_spread_is_exact():
     assert lines[-1] == "PASS"
 
 
+def test_validate_output_matches_the_golden_file():
+    # the last case's delta is about -7e-15 dB, which printed as -0.000000
+    result = subprocess.run(
+        ["sh", str(_DATA / "validate_golden.sh"), sys.executable], capture_output=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (_DATA / "validate_golden.txt").read_bytes()
+    assert b"-0.000000" not in result.stdout
+
+
 @pytest.mark.parametrize(
     "args, needed",
     [
