@@ -21,6 +21,7 @@ keyed by the caller's seed.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 
@@ -30,14 +31,30 @@ from .value import Value, setfield
 
 _DEG = math.pi / 180.0
 _DEFAULT_SPACING_RAD = 0.05 * _DEG
-# most samples on one grid axis: 16 MB a float64 array along it; even, so a
-# capped azimuth count keeps angle 0 on the grid
+# most samples on one grid axis: 16 MB a float64 array along it; 2**7 * 5**6,
+# so a count rounded up to a fast FFT length stays within it
 _MAX_AXIS_SAMPLES = 2_000_000
 
 
 def _even_ceil(x: float) -> int:
     n = math.ceil(x)
     return n + (n % 2)
+
+
+# even 2**a * 3**b * 5**c up to the cap, ascending: pocketfft transforms
+# these lengths directly, where a length with a large prime factor falls
+# back to the slower Bluestein algorithm
+_FAST_COUNTS = sorted(
+    p << a
+    for p in [3**b * 5**c for b in range(13) for c in range(9)]
+    for a in range(1, 21)
+    if p << a <= _MAX_AXIS_SAMPLES
+)
+
+
+def _fast_even_ceil(x: float) -> int:
+    # the least fast, even count >= x, for 0 < x <= _MAX_AXIS_SAMPLES
+    return _FAST_COUNTS[bisect_left(_FAST_COUNTS, math.ceil(x))]
 
 
 class AngularGrid(Value):
@@ -49,7 +66,8 @@ class AngularGrid(Value):
     spacing 2 * elev_half_span_rad / n_elev; the span is widened past
     pi/2 by :func:`grid_for` when a pattern's tails need the room, so
     circular convolution along it has nothing to wrap.  Counts are even
-    so that angle 0 lands on a sample.
+    so that angle 0 lands on a sample; :func:`grid_for` also makes them
+    fast FFT lengths, 2**a * 3**b * 5**c.
     """
 
     __slots__ = ("n_azim", "n_elev", "elev_half_span_rad")
@@ -87,8 +105,11 @@ def grid_for(
 ) -> AngularGrid:
     """Grid fine and wide enough for a beam and an optional spread.
 
-    Spacing per axis is the finest of 0.05 degrees, beamwidth/8 and
-    (when nonzero) spread/8.  The elevation half-span stretches to
+    Spacing per axis is at most the finest of 0.05 degrees,
+    beamwidth/8 and (when nonzero) spread/8: each count is rounded up to
+    the next even 2**a * 3**b * 5**c, which keeps angle 0 on the grid,
+    only makes the spacing finer, and spares the FFT a length with a
+    large prime factor.  The elevation half-span stretches to
     8 * (beamwidth + spread) when that exceeds pi/2, which keeps the
     wrapped tail below 1e-8 of the peak.  Azimuth sample count is capped
     (the circle span is fixed, so a cap is a spacing floor); patterns
@@ -106,7 +127,7 @@ def grid_for(
     if asd > 0.0:
         d_azim = min(d_azim, asd / 8.0)
     # capped before rounding: the uncapped count can exceed float range
-    n_azim = _even_ceil(min(2.0 * math.pi / d_azim, _MAX_AXIS_SAMPLES))
+    n_azim = _fast_even_ceil(min(2.0 * math.pi / d_azim, _MAX_AXIS_SAMPLES))
 
     d_elev = min(_DEFAULT_SPACING_RAD, bw_elev_rad / 8.0)
     if zsd > 0.0:
@@ -119,7 +140,7 @@ def grid_for(
             f"grid too large: elevation needs {needed} samples, "
             f"more than the {_MAX_AXIS_SAMPLES} allowed per axis"
         )
-    return AngularGrid(n_azim=n_azim, n_elev=_even_ceil(n_elev), elev_half_span_rad=half_span)
+    return AngularGrid(n_azim=n_azim, n_elev=_fast_even_ceil(n_elev), elev_half_span_rad=half_span)
 
 
 class SampledPattern(Value):
@@ -314,7 +335,9 @@ def monte_carlo_effective_gain(
     mean received power to the mean under a flat (gain 1) pattern with
     the same phases, scaled by the boresight gain; that normalization
     makes the zero-spread case return the nominal gain exactly and
-    cancels the common fading variance otherwise.
+    cancels the common fading variance otherwise.  With both spreads
+    zero, every realization's received and flat powers agree, so the
+    nominal gain and a zero error return without drawing.
 
     Returns
     -------
@@ -339,6 +362,11 @@ def monte_carlo_effective_gain(
     Memory is O(2**18) draws whatever the realization count.
     """
     nominal = nominal_beamwidths(element, geom)
+    gain0 = nominal.gain_linear
+    if spread.is_zero:
+        # every amplitude is 1, so received equals flat in each realization
+        # and the draws would give exactly this
+        return gain0, 0.0
     n_paths, n_real = config.n_paths, config.n_realizations
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     chunk_rows = min(n_real, _MC_CHUNK_DRAWS // n_paths)
@@ -371,7 +399,6 @@ def monte_carlo_effective_gain(
     s_received, s_flat, s_d, s_dd, s_df, s_ff = sums
     e = s_d / s_flat
     s_residual = max(0.0, s_dd - e * (2.0 * s_df - e * s_ff))
-    gain0 = nominal.gain_linear
     # se of the ratio of means: sqrt(mean(residual**2) / n) / mean(flat)
     return gain0 * (s_received / s_flat), gain0 * (math.sqrt(s_residual) / s_flat)
 
@@ -391,6 +418,18 @@ def _chunk_powers(
     # along their first axis, so path sums add whole rows.
     n_real, n_paths = azim.shape
     block_rows = min(n_real, max(1, _MC_BLOCK_DRAWS // n_paths))
+    # amplitude relative to boresight, sqrt(g(dir) / g(0)), is
+    # exp(azim**2 * c_azim + elev**2 * c_elev) with c = -(spread / 2 bw)**2;
+    # an axis with zero spread adds nothing
+    axes = []
+    for draws, sigma, bw in (
+        (azim, spread.asd_rad, nominal.bw_azim_rad),
+        (elev, spread.zsd_rad, nominal.bw_elev_rad),
+    ):
+        if sigma > 0.0:
+            r = sigma / (2.0 * bw)
+            axes.append((draws, -(r * r)))
+    (first, c_first), *rest = axes
     amp = np.empty((n_paths, block_rows))
     tmp = np.empty((2, n_paths, block_rows))
     terms = np.empty((4, n_paths, block_rows))
@@ -400,16 +439,12 @@ def _chunk_powers(
         n = b1 - b0
         a, t, w = amp[:, :n], tmp[0, :, :n], tmp[1, :, :n]
         T, S = terms[:, :, :n], path_sums[:, :n]
-        # amplitude relative to boresight, sqrt(g(dir) / g(0)):
-        # exp(-((azim / 2 bw_azim)**2 + (elev / 2 bw_elev)**2))
-        np.multiply(azim[b0:b1].T, spread.asd_rad, out=a)
-        a /= 2.0 * nominal.bw_azim_rad
-        a *= a
-        np.multiply(elev[b0:b1].T, spread.zsd_rad, out=t)
-        t /= 2.0 * nominal.bw_elev_rad
-        t *= t
-        a += t
-        np.negative(a, out=a)
+        np.square(first[b0:b1].T, out=a)
+        a *= c_first
+        for draws, c in rest:
+            np.square(draws[b0:b1].T, out=t)
+            t *= c
+            a += t
         np.exp(a, out=a)
         # unit phasor of phase - pi, whose sign drops out of every |sum|**2,
         # from t = tan(phase / 4 - pi / 4) in [-1, 1] by two double-angle
@@ -420,11 +455,10 @@ def _chunk_powers(
         t *= 0.5 * math.pi
         np.tan(t, out=t)
         cos, sin = T[2], T[3]
-        np.multiply(t, t, out=w)
-        np.subtract(1.0, w, out=sin)
-        sin *= t
         np.multiply(t, t, out=cos)
-        w += 1.0
+        np.subtract(1.0, cos, out=sin)
+        sin *= t
+        np.add(cos, 1.0, out=w)
         w *= w
         np.divide(4.0, w, out=w)
         sin *= w

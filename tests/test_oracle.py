@@ -148,6 +148,69 @@ def test_grid_for_caps_azimuth_past_float_range():
     assert grid_for(1.0, 1e-320).n_azim == 2_000_000
 
 
+def test_fast_counts_match_a_brute_force_search():
+    # every count up to the cap against the least even m >= it with no prime
+    # factor above 5, found by dividing those factors out of every m
+    cap = oracle._MAX_AXIS_SAMPLES
+    m = np.arange(cap + 1)
+    rest = m.copy()
+    for p in (2, 3, 5):
+        while (divisible := (rest % p == 0) & (rest > 0)).any():
+            rest[divisible] //= p
+    fast = np.flatnonzero((rest == 1) & (m % 2 == 0))
+    assert fast[-1] == cap
+    want = fast[np.searchsorted(fast, m[1:])].tolist()
+    assert [oracle._fast_even_ceil(n) for n in range(1, cap + 1)] == want
+    # grid_for passes real counts: anything past a fast count rounds up
+    for i in range(0, fast.size - 1, 7):
+        assert oracle._fast_even_ceil(float(fast[i])) == fast[i]
+        assert oracle._fast_even_ceil(fast[i] * (1.0 + 1e-15)) == fast[i + 1]
+        assert oracle._fast_even_ceil(fast[i + 1] - 0.5) == fast[i + 1]
+
+
+def _exact_count_grid(bw_elev_rad, bw_azim_rad, spread):
+    # grid_for's spacing and span with each count rounded up to even only
+    d_azim = min(0.05 * DEG, bw_azim_rad / 8.0)
+    if spread.asd_rad > 0.0:
+        d_azim = min(d_azim, spread.asd_rad / 8.0)
+    d_elev = min(0.05 * DEG, bw_elev_rad / 8.0)
+    if spread.zsd_rad > 0.0:
+        d_elev = min(d_elev, spread.zsd_rad / 8.0)
+    half_span = max(math.pi / 2, 8.0 * (bw_elev_rad + spread.zsd_rad))
+    n_azim = math.ceil(2.0 * math.pi / d_azim)
+    n_elev = math.ceil(2.0 * half_span / d_elev)
+    return AngularGrid(n_azim + n_azim % 2, n_elev + n_elev % 2, half_span)
+
+
+def test_fast_grid_convolution_matches_exact_counts(spread_deg):
+    # the acceptance suite's 5 x 5 x 5 x 5 box of oracle points
+    widths = np.linspace(1.0, 30.0, 5)
+    spreads = np.linspace(0.0, 30.0, 5)
+    changed = 0
+    for bw_elev_deg in widths:
+        for bw_azim_deg in widths:
+            bw_elev, bw_azim = math.radians(bw_elev_deg), math.radians(bw_azim_deg)
+            for zsd_deg in spreads:
+                for asd_deg in spreads:
+                    spread = spread_deg(zsd=float(zsd_deg), asd=float(asd_deg))
+                    fast = grid_for(bw_elev, bw_azim, spread)
+                    exact = _exact_count_grid(bw_elev, bw_azim, spread)
+                    assert fast.elev_half_span_rad == exact.elev_half_span_rad
+                    assert exact.n_azim <= fast.n_azim <= 1.07 * exact.n_azim
+                    assert exact.n_elev <= fast.n_elev <= 1.07 * exact.n_elev
+                    changed += (fast.n_azim, fast.n_elev) != (exact.n_azim, exact.n_elev)
+                    peaks = [
+                        convolve_effective_pattern(
+                            gaussian_pattern_sampled(bw_elev, bw_azim, grid), spread
+                        ).peak_power
+                        for grid in (fast, exact)
+                    ]
+                    assert peaks[0] == pytest.approx(peaks[1], rel=1e-12, abs=0.0)
+    # the span stretches past pi / 2 for wide beams and spreads, and the
+    # exact elevation count is then no fast length
+    assert changed >= 400
+
+
 # --- sampled Gaussian patterns -----------------------------------------
 
 def test_gaussian_pattern_peak_and_symmetry():
@@ -296,6 +359,22 @@ def test_monte_carlo_zero_spread_is_exact():
     )
     assert estimate == nominal_beamwidths(element, geom).gain_linear
     assert stderr == 0.0
+
+
+def test_monte_carlo_zero_spread_draws_nothing(monkeypatch):
+    # the draws would give exactly the nominal gain and a zero SE, so none are made
+    def no_generator(*args, **kwargs):
+        raise AssertionError("drew at zero spread")
+
+    monkeypatch.setattr(oracle.np.random, "Generator", no_generator)
+    element = element_pattern_from_gain(5.0)
+    geom = ArrayGeometry(16, 16)
+    config = McConfig(n_paths=20, n_realizations=10**9, seed=3)
+    assert monte_carlo_effective_gain(element, geom, AngularSpread(0.0, 0.0), config) == (
+        nominal_beamwidths(element, geom).gain_linear, 0.0
+    )
+    with pytest.raises(AssertionError, match="drew at zero spread"):
+        monte_carlo_effective_gain(element, geom, AngularSpread(0.0, 1e-9), config)
 
 
 def test_monte_carlo_brackets_closed_form():
