@@ -62,7 +62,8 @@ class ContinuousGeometry(Value):
 
 class OptimizationResult(Value):
     """Scan winner with its gain report, the budget-level bound, and the
-    continuous solution when one exists (None when a spread is zero)."""
+    continuous solution when one exists (None when a spread is zero or
+    the spread ratio puts it beyond float range)."""
 
     __slots__ = ("continuous", "integer_best", "integer_gain", "bound_gain_linear")
 
@@ -241,12 +242,25 @@ def optimal_geometry_integer(
     -------
     OptimizationResult
         The winner, its gain report, the budget-level bound, and the
-        continuous solution (None when either spread is zero).
+        continuous solution (None when either spread is zero, or when
+        ``allowed_geometries`` is given and the spread ratio puts the
+        closed form beyond float range).
+
+    Raises
+    ------
+    DegenerateSpreadError
+        Without ``allowed_geometries``, if the spread ratio puts the
+        closed form, where the walk starts, beyond float range.
     """
     _check_budget(n_elements, element, spread)
     continuous = None
     if spread.asd_rad > 0.0 and spread.zsd_rad > 0.0:
-        continuous = optimal_geometry_continuous(n_elements, element, spread)
+        try:
+            continuous = optimal_geometry_continuous(n_elements, element, spread)
+        except DegenerateSpreadError:
+            # the walk starts from the closed form; a list needs none
+            if allowed_geometries is None:
+                raise
     if allowed_geometries is not None:
         if not allowed_geometries:
             raise ValueError("allowed_geometries is empty")

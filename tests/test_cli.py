@@ -347,6 +347,24 @@ def test_sweep_list_takes_its_optimum_from_the_allowed_list(tmp_path, capsys):
     assert printed.err == "error[input]: geometry 3x4 exceeds the element budget 8\n"
 
 
+def test_extreme_spread_ratio_picks_from_the_list(capsys):
+    # the closed form is beyond float range here, but a list needs no walk
+    # from it; a full scan still does, so that stays error[spread]
+    flags = ["--elements", "256", "--element-gain-dbi", "5", "--asd-deg", "1e-320", "--zsd-deg", "1e300"]
+    assert cli.main(["optimize", *flags, "--allowed-geometries", "16x16"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:3] == ["continuous optimum: none (degenerate spread)", "integer optimum: 16 x 16 (256 elements)"]
+    assert cli.main(["sweep", *flags, "--geometries", "16x16,8x32", "--allowed-geometries", "8x32"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["16,16,-2966.372424,0", "8,32,-2963.362124,1"]
+    assert cli.main(["sweep", *flags, "--geometries", "16x16"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["16,16,-2966.372424,1"]
+    for command in (["optimize", *flags], ["sweep", *flags]):
+        assert cli.main(command) == 1
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err.startswith("error[spread]: degenerate spread: asd_rad = 1.73e-322 and zsd_rad")
+
+
 @pytest.mark.parametrize(
     "values, n, geometries, to_file, code",
     [
