@@ -36,11 +36,6 @@ _DEFAULT_SPACING_RAD = 0.05 * _DEG
 _MAX_AXIS_SAMPLES = 2_000_000
 
 
-def _even_ceil(x: float) -> int:
-    n = math.ceil(x)
-    return n + (n % 2)
-
-
 # even 2**a * 3**b * 5**c up to the cap, ascending: pocketfft transforms
 # these lengths directly, where a length with a large prime factor falls
 # back to the slower Bluestein algorithm
@@ -135,7 +130,7 @@ def grid_for(
     half_span = max(math.pi / 2, 8.0 * (bw_elev_rad + zsd))
     n_elev = 2.0 * half_span / d_elev
     if not n_elev <= _MAX_AXIS_SAMPLES:
-        needed = _even_ceil(n_elev) if n_elev < 1e15 else f"{n_elev:.3g}"
+        needed = 2 * math.ceil(n_elev / 2.0) if n_elev < 1e15 else f"{n_elev:.3g}"
         raise GridResolutionError(
             f"grid too large: elevation needs {needed} samples, "
             f"more than the {_MAX_AXIS_SAMPLES} allowed per axis"
