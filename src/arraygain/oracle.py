@@ -409,8 +409,9 @@ def _chunk_powers(
 ) -> None:
     # Per-realization received and flat power, times n_paths (the ratio
     # and its se do not see the scale), of standard normal azim/elev and
-    # [0, 1) phase draws, (realizations, paths) each.  Blocks hold paths
-    # along their first axis, so path sums add whole rows.
+    # [0, 1) phase draws, (realizations, paths) each, with at least one
+    # spread nonzero.  Blocks hold paths along their first axis, so path
+    # sums add whole rows.
     n_real, n_paths = azim.shape
     block_rows = min(n_real, max(1, _MC_BLOCK_DRAWS // n_paths))
     # amplitude relative to boresight, sqrt(g(dir) / g(0)), is
