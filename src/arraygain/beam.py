@@ -1,4 +1,4 @@
-"""Gaussian beam model: one beam type and one gain path.
+"""Gaussian beam model: one beam type and one gain model.
 
 A single beam is modeled as a separable Gaussian power pattern
 
@@ -14,10 +14,11 @@ identical elements at half-wavelength spacing narrows each element
 beamwidth by the element count along that axis.  Multipath angular
 spread convolves the pattern with the channel's own Gaussian spectrum,
 so the effective beamwidth per axis is the root-sum-square of the
-nominal beamwidth and the spread.  That widening is computed in one
-place, :func:`effective_gain_value`, and :func:`effective_gain` reports
-it.  The effective gain always sits at or below both the nominal gain
-and the budget-level upper bound computed in :mod:`arraygain.optimize`.
+nominal beamwidth and the spread.  That widening lives in this module
+alone, in two forms: :func:`effective_gain_value` for one geometry and
+:func:`row_gains_dbi` for a run of columns.  The effective gain always
+sits at or below both the nominal gain and the budget-level upper bound
+computed in :mod:`arraygain.optimize`.
 
 All beamwidths and spreads are RMS values in radians.  Gains are linear
 power ratios unless a name ends in ``_dbi``.
@@ -27,6 +28,8 @@ from __future__ import annotations
 
 import math
 import sys
+from itertools import repeat
+from operator import mul, truediv
 
 from .errors import DegenerateElementError, check_positive_int
 from .units import db_to_linear, linear_to_db
@@ -258,13 +261,29 @@ def effective_gain_value(
     gain is 2 / (product of the widths).  Takes real-valued rows/cols and
     returns just the linear gain.  Used by :func:`effective_gain` and to
     evaluate the continuous optimum and the integer scan with its
-    envelope; ``sweep`` repeats its operations a block of rows at a time.
+    envelope; :func:`row_gains_dbi` repeats its operations over a run.
     """
     if rows <= 0.0 or cols <= 0.0:
         raise ValueError("rows and cols must be positive")
     bw_elev = math.hypot(element.bw_elev_rad / rows, spread.zsd_rad)
     bw_azim = math.hypot(element.bw_azim_rad / cols, spread.asd_rad)
     return 2.0 / (bw_elev * bw_azim)
+
+
+def row_gains_dbi(element: ElementPattern, rows: int, cols, spread: AngularSpread):
+    """Lazy dBi gains of rows x c for each c in the iterable ``cols``.
+
+    Each is ``linear_to_db(effective_gain_value(element, rows, c, spread))``
+    float operation for float operation, with the elevation width computed
+    once and no count checked.  :func:`_check_budget` keeps each within
+    about 1e-12 dB of the exact gain: it makes every width and gain a normal
+    float, where truediv, hypot, mul and log10 err by a few ulps.
+    """
+    bw_elev = math.hypot(element.bw_elev_rad / rows, spread.zsd_rad)
+    nominal = map(truediv, repeat(element.bw_azim_rad), cols)
+    azims = map(math.hypot, nominal, repeat(spread.asd_rad))
+    gains = map(truediv, repeat(2.0), map(mul, repeat(bw_elev), azims))
+    return map(mul, repeat(10.0), map(math.log10, gains))
 
 
 def effective_gain(

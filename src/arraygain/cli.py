@@ -12,17 +12,8 @@ exit status is 0 on success, 1 on user error or a failed validation,
 field order, 6-decimal floats, LF line endings.
 
 ``sweep`` writes runs of equal rows in blocks that end at multiples of
-1,000 columns, so its memory stays flat in N; each gain takes the float
-operations of ``effective_gain_value`` and ``linear_to_db`` in order.  A
-block from cols = 1,000 on is decided from its first and last gains: within
-a run the exact gain does not fall as cols grows, each computed dBi is
-within about 1e-12 dB of it, and ``%.6f`` is correctly rounded, so when the
-two ends widened by 1e-9 dB print alike, every row between prints that
-text.  Such a block is written as one join over the last three digits of
-its cols, with no gain inside it computed, and the bytes are still a
-row-by-row writer's.  The budget check that runs before the winner is
-picked keeps every width and gain of the sweep a normal float, so no row
-fails and the 1e-12 dB bound holds.
+1,000 columns, so its memory stays flat in N, with its gains from ``beam``;
+:func:`_write_sweep` says when a block is written as one join.
 
 Each subcommand imports the modules it runs when it runs, so a cold
 start compiles and loads only those.
@@ -38,9 +29,9 @@ import sys
 from contextlib import contextmanager, suppress
 from functools import cache
 from itertools import chain, repeat
-from operator import eq, mul, truediv
+from operator import eq
 
-from .beam import ArrayGeometry, effective_gain, nominal_beamwidths
+from .beam import effective_gain, effective_gain_value, nominal_beamwidths, row_gains_dbi
 from .errors import ArrayGainError, OracleUnavailableError, ScenarioError
 from .scenario import Scenario, load_measurements_csv, merged, parse_geometry_list
 from .units import linear_to_db
@@ -126,19 +117,22 @@ def _tails() -> tuple[str, ...]:
 _MARGIN_DB = 1e-9
 
 
-def _flat_text(elev: float, bw_azim: float, asd: float, block: range) -> str | None:
+def _flat_text(dbi, block: range) -> str | None:
     """The ``%.6f`` text that every cols of block prints, or None.
 
-    Only the gains at the first and last cols are computed, with the float
-    operations of every other column (see :func:`_write_sweep` for why
-    that suffices).  None when the two ends widened by ``_MARGIN_DB``
-    print differently.  The budget check keeps every width and gain a
-    normal float, where the error bound behind the margin holds.
+    Only ``dbi``, cols to the run's gain in dBi, at the two ends is computed
+    (:func:`_write_sweep` says why that suffices); None when those two
+    widened by ``_MARGIN_DB`` print differently.
     """
-    first = 10.0 * math.log10(2.0 / (elev * math.hypot(bw_azim / block[0], asd)))
-    last = 10.0 * math.log10(2.0 / (elev * math.hypot(bw_azim / block[-1], asd)))
+    first, last = dbi(block[0]), dbi(block[-1])
     text = "%.6f" % (min(first, last) - _MARGIN_DB)
     return text if "%.6f" % (max(first, last) + _MARGIN_DB) == text else None
+
+
+def _db(value: float) -> str:
+    # a dB/dBi report field: six decimals, unsigned when it rounds to zero
+    text = "%.6f" % value
+    return "0.000000" if text == "-0.000000" else text
 
 
 @contextmanager
@@ -165,12 +159,8 @@ def _output(path: str | None):
             raise
 
 
-def _write_rows(out, rows: int, block: range, elev: float, bw_azim: float, asd: float,
-                winner_cols: int) -> None:
-    # every gain of block, column by column, written with one "%" template
-    azims = map(math.hypot, map(truediv, repeat(bw_azim), block), repeat(asd))
-    gains = map(truediv, repeat(2.0), map(mul, repeat(elev), azims))
-    dbis = map(mul, repeat(10.0), map(math.log10, gains))
+def _write_rows(out, rows: int, block: range, dbis, winner_cols: int) -> None:
+    # the gains dbis of block, column by column, written with one "%" template
     if winner_cols in block:
         template = f"{rows},%d,%.6f,%d\n"
         fields = zip(block, dbis, map(eq, block, repeat(winner_cols)))
@@ -180,38 +170,32 @@ def _write_rows(out, rows: int, block: range, elev: float, bw_azim: float, asd: 
     out.write((template * len(block)) % tuple(chain.from_iterable(fields)))
 
 
-def _write_sweep(path: str | None, element, spread, runs, winner: ArrayGeometry) -> None:
+def _write_sweep(path: str | None, element, spread, runs, winner) -> None:
     # runs: (rows, range of cols) pairs, consumed once; path None is stdout.
-    # Each gain takes the float operations of effective_gain_value and
-    # linear_to_db in their order: the elevation width once per run, the
-    # rest column by column.
     #
     # A block from cols = 1,000 on that does not hold the winner is decided
     # from its two end gains alone (_flat_text).  Within a run of equal rows
-    # the exact gain 2 / (elev * sqrt((bw_azim / cols)**2 + asd**2)) does
-    # not fall as cols grows.  Each computed dBi is within about 1e-12 dB of
-    # that exact value, as the budget check keeps the gain and the widths
-    # normal floats: a few ulps from truediv, hypot (under 1 ulp on 3.10+),
-    # mul and log10.
-    # So every column's value lies in [min - m, max + m] of the two end
-    # values, m = _MARGIN_DB, and "%.6f" is correctly rounded, so it never
-    # falls as its input rises: when min - m and max + m print alike, every
-    # column prints that text, and the block is one join over the last three
-    # digits of its cols with no gain computed inside it.  Any other block
-    # is written row by row; both give the same bytes, so nothing checks
-    # the rows a join stands for
+    # the exact gain does not fall as cols grows, and beam.row_gains_dbi
+    # says why each computed dBi is within about 1e-12 dB of it.  So every
+    # column's value lies in [min - m, max + m] of the two end values,
+    # m = _MARGIN_DB, and "%.6f" is correctly rounded, so it never falls as
+    # its input rises: when min - m and max + m print alike, every column
+    # prints that text, and the block is one join over the last three digits
+    # of its cols with no gain computed inside it.  Any other block is
+    # written row by row; both give the same bytes, so nothing checks the
+    # rows a join stands for
     with _output(path) as out:
         out.write(SWEEP_HEADER + "\n")
-        bw_azim, asd = element.bw_azim_rad, spread.asd_rad
         for rows, cols in runs:
-            elev = math.hypot(element.bw_elev_rad / rows, spread.zsd_rad)
+            def dbi(col: int) -> float:
+                return linear_to_db(effective_gain_value(element, rows, col, spread))
+
             winner_cols = winner.cols if rows == winner.rows else 0
             if len(cols) == 1:
                 # every cols <= sqrt(N), and each listed geometry: one gain
                 # and one line, with no per-block set-up
                 col = cols.start
-                dbi = linear_to_db(2.0 / (elev * math.hypot(bw_azim / col, asd)))
-                out.write("%d,%d,%.6f,%d\n" % (rows, col, dbi, col == winner_cols))
+                out.write("%d,%d,%.6f,%d\n" % (rows, col, dbi(col), col == winner_cols))
                 continue
             start = cols.start
             while start < cols.stop:
@@ -219,14 +203,15 @@ def _write_sweep(path: str | None, element, spread, runs, winner: ArrayGeometry)
                 if (
                     start >= _SWEEP_BLOCK
                     and winner_cols not in block
-                    and (shared := _flat_text(elev, bw_azim, asd, block)) is not None
+                    and (shared := _flat_text(dbi, block)) is not None
                 ):
                     head = f"{rows},{start // _SWEEP_BLOCK}"
                     lo = start % _SWEEP_BLOCK
                     tails = _tails()[lo:lo + len(block)]
                     out.write(head + f",{shared},0\n{head}".join(tails) + f",{shared},0\n")
                 else:
-                    _write_rows(out, rows, block, elev, bw_azim, asd, winner_cols)
+                    dbis = row_gains_dbi(element, rows, block, spread)
+                    _write_rows(out, rows, block, dbis, winner_cols)
                 start = block.stop
 
 
@@ -243,8 +228,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     lines = [f"budget: {budget} elements"]
     if scenario.eirp_dbm is not None:
         lines.append(
-            f"eirp cap: {scenario.eirp_dbm:.6f} dBm at "
-            f"{scenario.per_element_power_dbm:.6f} dBm per element"
+            f"eirp cap: {_db(scenario.eirp_dbm)} dBm at "
+            f"{_db(scenario.per_element_power_dbm)} dBm per element"
         )
     if result.continuous is None:
         lines.append("continuous optimum: none (degenerate spread)")
@@ -254,9 +239,9 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
             f"{result.continuous.cols_real:.6f}"
         )
     lines.append(f"integer optimum: {best.rows} x {best.cols} ({best.n_elements} elements)")
-    lines.append(f"effective gain: {result.integer_gain.effective_gain_dbi:.6f} dBi")
-    lines.append(f"nominal gain: {result.integer_gain.nominal_gain_dbi:.6f} dBi")
-    lines.append(f"upper bound: {linear_to_db(result.bound_gain_linear):.6f} dBi")
+    lines.append(f"effective gain: {_db(result.integer_gain.effective_gain_dbi)} dBi")
+    lines.append(f"nominal gain: {_db(result.integer_gain.nominal_gain_dbi)} dBi")
+    lines.append(f"upper bound: {_db(linear_to_db(result.bound_gain_linear))} dBi")
     # the file first: a failure to write it leaves no report on stdout
     if args.csv is not None:
         _write_sweep(args.csv, element, spread, [(best.rows, range(best.cols, best.cols + 1))], best)
@@ -312,9 +297,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     if args.predict is not None:
         rows, cols = args.predict
         predicted = predict_subarray_gain(gains[args.baseline_index], result, rows, cols)
-        lines.append(
-            f"predicted gain {rows}x{cols} vs baseline: {linear_to_db(predicted):.6f} dB"
-        )
+        lines.append(f"predicted gain {rows}x{cols} vs baseline: {_db(linear_to_db(predicted))} dB")
     print("\n".join(lines))
     return 0
 
@@ -364,16 +347,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         se_db = 0.0
         mc_ok = mc_err == 0.0
     conv_ok = abs(conv_delta) <= 0.2
-    # a delta that rounds to zero prints unsigned, whichever side it fell on
-    delta_text = f"{conv_delta:.6f}"
-    if delta_text == "-0.000000":
-        delta_text = "0.000000"
 
     lines = [
         f"geometry: {geom.rows} x {geom.cols}",
-        f"analytic gain: {analytic.effective_gain_dbi:.6f} dBi",
-        f"convolution gain: {conv_dbi:.6f} dBi (delta {delta_text} dB, limit 0.2)",
-        f"monte-carlo gain: {linear_to_db(mc_gain):.6f} dBi +/- {se_db:.6f} dB (z {z_score:.6f}, limit 3)",
+        f"analytic gain: {_db(analytic.effective_gain_dbi)} dBi",
+        f"convolution gain: {_db(conv_dbi)} dBi (delta {_db(conv_delta)} dB, limit 0.2)",
+        f"monte-carlo gain: {_db(linear_to_db(mc_gain))} dBi +/- {_db(se_db)} dB"
+        f" (z {z_score:.6f}, limit 3)",
         "PASS" if conv_ok and mc_ok else "FAIL",
     ]
     print("\n".join(lines))

@@ -7,8 +7,9 @@ Groups:
   4. directional and effective gain, including the two reference points
      (8 dBi element, 16 deg / 1 deg spread) at 19.91 and 24.31 dBi
   5. randomized invariants: monotonicity, widening, zero-spread
-     consistency, effective <= min(nominal, bound), and the report
-     bit for bit against a composition kept here as the reference
+     consistency, effective <= min(nominal, bound), the report bit for
+     bit against a composition kept here as the reference, and the run
+     form of the gain bit for bit against the scalar form
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from arraygain import (
     element_pattern_from_gain,
     nominal_beamwidths,
 )
+from arraygain.beam import row_gains_dbi
+from arraygain.units import linear_to_db
 
 
 def _reference_gains(element, geom, spread):
@@ -316,6 +319,37 @@ def test_report_matches_reference_composition_bit_for_bit():
             report.upper_bound_linear,
         )
         assert got == _reference_gains(element, geom, spread)
+
+
+def test_row_gains_match_the_scalar_gain_bit_for_bit():
+    # the ranges that the sweep's flat-block test draws from: widths
+    # 0.01..200 deg, spreads 1e-6..80 deg or exactly zero on either axis,
+    # rows up to 10**6 and blocks of cols up to 10**9
+    rng = np.random.default_rng(53)
+
+    def log_uniform(lo, hi):
+        return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+    zeros = [0, 0]  # spreads drawn as exact zeros, per axis
+    for case in range(2000):
+        element = ElementPattern(
+            math.radians(log_uniform(0.01, 200.0)), math.radians(log_uniform(0.01, 200.0))
+        )
+        # cases cycle through no zero, zsd = 0, asd = 0 and both zero
+        zsd, asd = (
+            0.0 if case & bit else math.radians(log_uniform(1e-6, 80.0)) for bit in (1, 2)
+        )
+        zeros[0] += zsd == 0.0
+        zeros[1] += asd == 0.0
+        spread = AngularSpread(zsd_rad=zsd, asd_rad=asd)
+        rows = round(log_uniform(1, 1e6))
+        base = 1000 * round(log_uniform(1, 1e6)) if case % 5 else 0
+        start = base + int(rng.integers(1, 1000))
+        block = range(start, int(rng.integers(start + 1, base + 1001)))
+        want = [linear_to_db(effective_gain_value(element, rows, c, spread)) for c in block]
+        got = list(map(float.hex, row_gains_dbi(element, rows, block, spread)))
+        assert got == list(map(float.hex, want)), (element, spread, rows, block)
+    assert zeros == [1000, 1000]
 
 
 def test_effective_gain_rejects_gain_beyond_float_range():

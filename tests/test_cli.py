@@ -100,6 +100,23 @@ def test_optimize_eirp_cap():
     assert "eirp cap: 43.000000 dBm at 10.000000 dBm per element" in lines
 
 
+# an element whose gain is 2 / bw**2 = 1 to within an ulp under 1e-3 deg
+# spreads: every dB field of its reports rounds to zero from below
+_UNIT_ELEMENT = ["--bw-elev-deg", "81.02847", "--bw-azim-deg", "81.02847"]
+
+
+def test_optimize_prints_gains_that_round_to_zero_unsigned():
+    result = _run(
+        "optimize", *_UNIT_ELEMENT, "--elements", "1", "--asd-deg", "0.001", "--zsd-deg", "0.001",
+    )
+    assert result.returncode == 0
+    lines = _lines(result)
+    assert "effective gain: 0.000000 dBi" in lines
+    assert "nominal gain: 0.000000 dBi" in lines
+    assert "upper bound: 0.000000 dBi" in lines
+    assert "-0.000000" not in result.stdout
+
+
 def test_optimize_is_byte_stable():
     args = (
         "optimize", "--elements", "256", "--element-gain-dbi", "5",
@@ -561,8 +578,8 @@ def test_large_sweeps_match_the_per_row_reference(
     joined = []  # the length of each block written as one join
     decided = []  # the length of each block the two-point decision saw
 
-    def flat_text(elev, bw_azim, asd, block):
-        text = real(elev, bw_azim, asd, block)
+    def flat_text(dbi, block):
+        text = real(dbi, block)
         decided.append(len(block))
         if text is not None:
             joined.append(len(block))
@@ -587,10 +604,16 @@ def test_large_sweeps_match_the_per_row_reference(
         assert decided == []
 
 
+def _run_dbi(element, rows, spread):
+    # the run's cols -> dBi function, as the sweep writer hands it to _flat_text
+    return lambda cols: linear_to_db(effective_gain_value(element, rows, cols, spread))
+
+
 def _flat_inputs(dbi):
-    # (elev, bw_azim, asd) whose gain is 10**(dbi / 10) to within an ulp at
-    # every cols from 1,000 on: asd = 1 swamps bw_azim / cols
-    return 2.0 / 10.0 ** (dbi / 10.0), 1e-300, 1.0
+    # a run whose gain is 10**(dbi / 10) to within an ulp at every cols from
+    # 1,000 on: asd = 1 swamps bw_azim / cols
+    element = ElementPattern(2.0 / 10.0 ** (dbi / 10.0), 1e-300)
+    return _run_dbi(element, 1, AngularSpread(zsd_rad=0.0, asd_rad=1.0))
 
 
 def test_flat_text_needs_both_ends_clear_of_a_change_of_text():
@@ -598,23 +621,24 @@ def test_flat_text_needs_both_ends_clear_of_a_change_of_text():
     # falls as its input rises
     assert sys.float_repr_style == "short"
     one, block = range(1000, 1001), range(1000, 2000)
-    assert cli._flat_text(*_flat_inputs(12.5), block) == "12.500000"
-    assert cli._flat_text(*_flat_inputs(-0.25), one) == "-0.250000"
+    assert cli._flat_text(_flat_inputs(12.5), block) == "12.500000"
+    assert cli._flat_text(_flat_inputs(-0.25), one) == "-0.250000"
     # ends that print alike but lie within the margin of a rounding boundary
     boundary = 12.3456785
     for offset in (-5e-10, 5e-10):
-        elev, bw_azim, asd = _flat_inputs(boundary + offset)
-        assert "%.6f" % (10.0 * math.log10(2.0 / elev)) in ("12.345678", "12.345679")
-        assert cli._flat_text(elev, bw_azim, asd, block) is None
-    assert cli._flat_text(*_flat_inputs(boundary + 5e-9), block) == "12.345679"
-    assert cli._flat_text(*_flat_inputs(boundary - 5e-9), block) == "12.345678"
+        dbi = _flat_inputs(boundary + offset)
+        assert "%.6f" % dbi(1000) in ("12.345678", "12.345679")
+        assert cli._flat_text(dbi, block) is None
+    assert cli._flat_text(_flat_inputs(boundary + 5e-9), block) == "12.345679"
+    assert cli._flat_text(_flat_inputs(boundary - 5e-9), block) == "12.345678"
     # ends about 0 dBi, where the text may carry a minus sign or not
     for dbi in (-5e-10, 0.0, 5e-10):
-        assert cli._flat_text(*_flat_inputs(dbi), one) is None
-    assert cli._flat_text(*_flat_inputs(-1e-7), one) == "-0.000000"
-    assert cli._flat_text(*_flat_inputs(1e-7), one) == "0.000000"
+        assert cli._flat_text(_flat_inputs(dbi), one) is None
+    assert cli._flat_text(_flat_inputs(-1e-7), one) == "-0.000000"
+    assert cli._flat_text(_flat_inputs(1e-7), one) == "0.000000"
     # ends that print differently: no azimuth spread, and the gain doubles
-    assert cli._flat_text(2.0, 1.0, 0.0, block) is None
+    no_spread = AngularSpread(zsd_rad=0.0, asd_rad=0.0)
+    assert cli._flat_text(_run_dbi(ElementPattern(2.0, 1.0), 1, no_spread), block) is None
 
 
 def _log_uniform(rng, lo, hi):
@@ -639,8 +663,7 @@ def test_flat_blocks_print_one_text_row_by_row():
         base = 1000 * round(_log_uniform(rng, 1, 1e6))
         start = base + rng.randrange(1000)
         block = range(start, rng.randint(start + 1, base + 1000))
-        elev = math.hypot(element.bw_elev_rad / rows, spread.zsd_rad)
-        text = cli._flat_text(elev, element.bw_azim_rad, spread.asd_rad, block)
+        text = cli._flat_text(_run_dbi(element, rows, spread), block)
         if text is None:
             refused += 1
             continue
@@ -723,6 +746,17 @@ def test_estimate_in_process_calls_do_not_share_flags(tmp_path, capsys):
         assert capsys.readouterr().out == _run(*argv).stdout
 
 
+def test_estimate_prints_a_prediction_that_rounds_to_zero_unsigned(tmp_path):
+    csv = tmp_path / "m.csv"
+    csv.write_text(
+        "rows,cols,tx_power_dbm,rx_power_dbm\n8,8,0.0,-70.000000000000\n"
+        "8,4,0.0,-70.000001017877\n4,8,0.0,-70.000001017877\n"
+    )
+    result = _run("estimate", str(csv), "--predict", "8", "7")
+    assert result.returncode == 0
+    assert _lines(result)[-1] == "predicted gain 8x7 vs baseline: 0.000000 dB"
+
+
 def test_estimate_unidentifiable_axis(tmp_path):
     csv = tmp_path / "two.csv"
     csv.write_text(
@@ -771,6 +805,19 @@ def test_validate_output_matches_the_golden_file():
     assert result.returncode == 0, result.stderr
     assert result.stdout == (_DATA / "validate_golden.txt").read_bytes()
     assert b"-0.000000" not in result.stdout
+
+
+def test_validate_prints_gains_that_round_to_zero_unsigned():
+    result = _run(
+        "validate", *_UNIT_ELEMENT, "--rows", "1", "--cols", "1", "--asd-deg", "0.001",
+        "--realizations", "200",
+    )
+    assert result.returncode == 0
+    lines = _lines(result)
+    assert lines[1] == "analytic gain: 0.000000 dBi"
+    assert lines[2].startswith("convolution gain: 0.000000 dBi (delta 0.000000 dB")
+    assert lines[3].startswith("monte-carlo gain: 0.000000 dBi +/- 0.000000 dB")
+    assert "-0.000000" not in result.stdout
 
 
 @pytest.mark.parametrize(
