@@ -120,9 +120,9 @@ _MARGIN_DB = 1e-9
 def _flat_text(dbi, block: range) -> str | None:
     """The ``%.6f`` text that every cols of block prints, or None.
 
-    Only ``dbi``, cols to the run's gain in dBi, at the two ends is computed
-    (:func:`_write_sweep` says why that suffices); None when those two
-    widened by ``_MARGIN_DB`` print differently.
+    ``dbi`` maps cols to the run's gain in dBi and is called at the two ends
+    only (:func:`_write_sweep` says why that suffices); None when those two
+    values, widened by ``_MARGIN_DB``, print differently.
     """
     first, last = dbi(block[0]), dbi(block[-1])
     text = "%.6f" % (min(first, last) - _MARGIN_DB)
