@@ -767,6 +767,15 @@ def test_estimate_unidentifiable_axis(tmp_path):
     assert result.stderr.startswith("error[estimate]: ZSD unidentifiable")
 
 
+def test_estimate_output_matches_the_golden_file():
+    # the script and file that the stdlib CI job diffs on each supported Python
+    result = subprocess.run(
+        ["sh", str(_DATA / "estimate_golden.sh"), sys.executable], capture_output=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (_DATA / "estimate_golden.txt").read_bytes()
+
+
 # --- validate -----------------------------------------------------------
 
 def test_validate_reference_scenario_passes():
