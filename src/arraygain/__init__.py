@@ -68,7 +68,6 @@ _HOMES = {
     "grid_for": "oracle",
     "monte_carlo_effective_gain": "oracle",
     "upa_array_factor_beamwidth": "oracle",
-    "MeasurementRecord": "scenario",
     "Scenario": "scenario",
     "load_measurements_csv": "scenario",
 }

@@ -278,11 +278,6 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     records = load_measurements_csv(args.measurements_csv)
     gains = relative_gains_from_power(records, args.baseline_index)
     result = estimate_ls(gains)
-
-    element = None
-    if (args.element_gain_dbi, args.bw_elev_deg, args.bw_azim_deg) != (None, None, None):
-        element = _scenario_from_args(args).element()
-
     lines = [
         f"measurements: {len(records)} (baseline index {args.baseline_index})",
         f"asd pairs: {result.n_pairs_asd} used, {result.n_skipped_asd} skipped",
@@ -290,8 +285,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         f"normalized asd squared: {result.asd_over_bhe_sq:.6f}",
         f"normalized zsd squared: {result.zsd_over_bve_sq:.6f}",
     ]
-    if element is not None:
-        spread = result.absolute_spread(element)
+    if (args.element_gain_dbi, args.bw_elev_deg, args.bw_azim_deg) != (None, None, None):
+        spread = result.absolute_spread(_scenario_from_args(args).element())
         lines.append(f"absolute asd: {math.degrees(spread.asd_rad):.6f} deg")
         lines.append(f"absolute zsd: {math.degrees(spread.zsd_rad):.6f} deg")
     if args.predict is not None:

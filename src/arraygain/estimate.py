@@ -13,23 +13,28 @@ a: with r = (G(n, k2) / G(n, k1))**2,
 
     a * (r - 1) = 1/k1**2 - r/k2**2
 
-Each such pair gives one linear equation; redundant pairs are combined
-by least squares and the result clamped to zero from below.  All of it
-is scale-invariant (only gain ratios enter), so measurements may be in
-any consistent relative scale, e.g. from
-:func:`relative_gains_from_power`.
+Each such pair gives one linear equation, and the elevation fit solves
+the same equation with rows and cols swapped.  Redundant pairs are
+combined by least squares and the result clamped to zero from below.
+All of it is scale-invariant (only gain ratios enter), so measurements
+may be in any consistent relative scale, e.g. the gains that
+:func:`relative_gains_from_power` makes of (rows, cols, tx_power_dbm,
+rx_power_dbm) tuples.  A gain ratio or a fit that overflows a float
+raises ValueError.  Predictions take their gains from :mod:`arraygain.beam`.
 """
 
 from __future__ import annotations
 
 import math
 
-from .beam import AngularSpread, ElementPattern
+from .beam import AngularSpread, ElementPattern, effective_gain_value
 from .errors import IndeterminatePairError, InvalidPairError, UnidentifiableSpreadError
 from .errors import check_positive_float, check_positive_int
 from .value import Value, setfield
 
 _RATIO_TOL = 1e-12
+# the element whose absolute spreads are the normalized ones
+_UNIT = ElementPattern(1.0, 1.0)
 
 
 class SubArrayGain(Value):
@@ -89,38 +94,44 @@ class SpreadEstimate(Value):
         )
 
 
-def _pair_coeffs(gain_small: float, count_small: int, gain_large: float, count_large: int):
+def _point(m: SubArrayGain, axis: str) -> tuple[int, int, SubArrayGain]:
+    # (shared count, varying count, measurement): azimuth pairs share rows
+    # and vary cols, elevation pairs the transpose
+    return (m.rows, m.cols, m) if axis == "ASD" else (m.cols, m.rows, m)
+
+
+def _pair_coeffs(p, q) -> tuple[float, float] | None:
     # one linear equation  a * x = b  in the squared normalized spread x,
-    # from two gains sharing the other axis; counts ordered ascending so
-    # the equation is the same whichever way the caller listed the pair
-    r = (gain_large / gain_small) ** 2
+    # or None unless the two points share one count and differ in the
+    # other; the smaller varying count goes first, so the equation is the
+    # same whichever way the caller listed the pair
+    if p[0] != q[0] or p[1] == q[1]:
+        return None
+    (_, count_small, small), (_, count_large, large) = (p, q) if p[1] < q[1] else (q, p)
+    ratio = large.gain_linear / small.gain_linear
+    if ratio * ratio == math.inf:
+        raise ValueError(
+            f"squared gain ratio of {large.rows}x{large.cols} "
+            f"to {small.rows}x{small.cols} overflows"
+        )
+    r = ratio**2
     a = r - 1.0
-    b = 1.0 / count_small**2 - r / count_large**2
-    return a, b
+    if abs(a) <= _RATIO_TOL:
+        raise IndeterminatePairError(
+            f"indeterminate pair: equal gains for {p[2].rows}x{p[2].cols} "
+            f"and {q[2].rows}x{q[2].cols}"
+        )
+    return a, 1.0 / count_small**2 - r / count_large**2
 
 
-def _pair_equation(m_a: SubArrayGain, m_b: SubArrayGain, axis: str):
-    if axis == "ASD":
-        shared_a, shared_b = m_a.rows, m_b.rows
-        vary_a, vary_b = m_a.cols, m_b.cols
-    else:
-        shared_a, shared_b = m_a.cols, m_b.cols
-        vary_a, vary_b = m_a.rows, m_b.rows
-    if shared_a != shared_b or vary_a == vary_b:
+def _pair_estimate(m_a: SubArrayGain, m_b: SubArrayGain, axis: str) -> float:
+    coeffs = _pair_coeffs(_point(m_a, axis), _point(m_b, axis))
+    if coeffs is None:
         raise InvalidPairError(
             f"invalid pair: {axis} pair needs ({m_a.rows}x{m_a.cols}, {m_b.rows}x{m_b.cols}) "
             "to share one axis and differ in the other"
         )
-    if vary_a < vary_b:
-        a, b = _pair_coeffs(m_a.gain_linear, vary_a, m_b.gain_linear, vary_b)
-    else:
-        a, b = _pair_coeffs(m_b.gain_linear, vary_b, m_a.gain_linear, vary_a)
-    if abs(a) <= _RATIO_TOL:
-        raise IndeterminatePairError(
-            f"indeterminate pair: equal gains for {m_a.rows}x{m_a.cols} "
-            f"and {m_b.rows}x{m_b.cols}"
-        )
-    return a, b
+    return coeffs[1] / coeffs[0]
 
 
 def estimate_asd_sq_pair(m_a: SubArrayGain, m_b: SubArrayGain) -> float:
@@ -136,33 +147,30 @@ def estimate_asd_sq_pair(m_a: SubArrayGain, m_b: SubArrayGain) -> float:
     IndeterminatePairError
         If the gain ratio is 1 within 1e-12 (spread swamps both
         apertures, the equation degenerates).
+    ValueError
+        If the squared gain ratio overflows.
     """
-    a, b = _pair_equation(m_a, m_b, "ASD")
-    return b / a
+    return _pair_estimate(m_a, m_b, "ASD")
 
 
 def estimate_zsd_sq_pair(m_a: SubArrayGain, m_b: SubArrayGain) -> float:
     """Elevation mirror of :func:`estimate_asd_sq_pair`: shared cols, rows vary."""
-    a, b = _pair_equation(m_a, m_b, "ZSD")
-    return b / a
+    return _pair_estimate(m_a, m_b, "ZSD")
 
 
 def _axis_fit(measurements: list[SubArrayGain], axis: str) -> tuple[float, int, int]:
+    points = [_point(m, axis) for m in measurements]
     coeffs: list[tuple[float, float]] = []
     skipped = 0
-    for i in range(len(measurements)):
-        for j in range(i + 1, len(measurements)):
-            m_a, m_b = measurements[i], measurements[j]
-            if axis == "ASD":
-                usable = m_a.rows == m_b.rows and m_a.cols != m_b.cols
-            else:
-                usable = m_a.cols == m_b.cols and m_a.rows != m_b.rows
-            if not usable:
-                continue
+    for i, p in enumerate(points):
+        for q in points[i + 1 :]:
             try:
-                coeffs.append(_pair_equation(m_a, m_b, axis))
+                pair = _pair_coeffs(p, q)
             except IndeterminatePairError:
                 skipped += 1
+                continue
+            if pair is not None:
+                coeffs.append(pair)
     if not coeffs:
         raise UnidentifiableSpreadError(axis)
     if len(coeffs) == 1:
@@ -171,7 +179,11 @@ def _axis_fit(measurements: list[SubArrayGain], axis: str) -> tuple[float, int, 
         a, b = coeffs[0]
         raw = b / a
     else:
-        raw = sum(a * b for a, b in coeffs) / sum(a * a for a, _ in coeffs)
+        num = sum(a * b for a, b in coeffs)
+        den = sum(a * a for a, _ in coeffs)
+        if not (math.isfinite(num) and math.isfinite(den)):
+            raise ValueError(f"{axis} least-squares sums overflow: gains too far apart")
+        raw = num / den
     return max(raw, 0.0), len(coeffs), skipped
 
 
@@ -197,9 +209,9 @@ def estimate_ls(measurements: list[SubArrayGain]) -> SpreadEstimate:
     ------
     UnidentifiableSpreadError
         If an axis ends up with no usable pair at all.
+    ValueError
+        If a squared gain ratio or a least-squares sum overflows.
     """
-    if len(measurements) < 2:
-        raise UnidentifiableSpreadError("ASD")
     asd_sq, n_asd, skip_asd = _axis_fit(measurements, "ASD")
     zsd_sq, n_zsd, skip_zsd = _axis_fit(measurements, "ZSD")
     return SpreadEstimate(
@@ -220,6 +232,9 @@ def predict_subarray_gain(
 ) -> float:
     """Gain of an unmeasured sub-array from one reference and the estimate.
 
+    Both gains are :func:`arraygain.beam.effective_gain_value` for an
+    element of unit widths, whose absolute spreads are the normalized ones:
+
     G(m1, m2) = G(n1, k1) * sqrt(1/n1^2 + z) * sqrt(1/k1^2 + a)
                           / (sqrt(1/m1^2 + z) * sqrt(1/m2^2 + a))
 
@@ -229,14 +244,11 @@ def predict_subarray_gain(
     """
     check_positive_int("target_rows", target_rows)
     check_positive_int("target_cols", target_cols)
-    z = estimate.zsd_over_bve_sq
-    a = estimate.asd_over_bhe_sq
-    scale = (
-        math.sqrt(1.0 / reference.rows**2 + z) * math.sqrt(1.0 / reference.cols**2 + a)
-    ) / (
-        math.sqrt(1.0 / target_rows**2 + z) * math.sqrt(1.0 / target_cols**2 + a)
+    spread = estimate.absolute_spread(_UNIT)
+    target = effective_gain_value(_UNIT, target_rows, target_cols, spread)
+    return reference.gain_linear * (
+        target / effective_gain_value(_UNIT, reference.rows, reference.cols, spread)
     )
-    return reference.gain_linear * scale
 
 
 def relative_gains_from_power(measurements, baseline_index: int) -> list[SubArrayGain]:
@@ -244,13 +256,14 @@ def relative_gains_from_power(measurements, baseline_index: int) -> list[SubArra
 
     Per entry, delta_dB = (rx - rx_base) - (tx - tx_base); path loss,
     cable loss and any other common-mode term cancel in the double
-    difference.  The baseline entry gets gain exactly 1.0.
+    difference.  The baseline entry gets gain exactly 1.0.  An entry whose
+    gain against it is not a positive finite float raises ValueError.
 
     Parameters
     ----------
-    measurements : iterable
-        Items are (rows, cols, tx_power_dbm, rx_power_dbm) tuples or any
-        object with those four attributes.
+    measurements : iterable of tuple
+        (rows, cols, tx_power_dbm, rx_power_dbm) tuples, as
+        :func:`arraygain.scenario.load_measurements_csv` returns them.
     baseline_index : int
         Which entry anchors the relative scale.
 
@@ -259,13 +272,7 @@ def relative_gains_from_power(measurements, baseline_index: int) -> list[SubArra
     list of SubArrayGain
         Same order as the input.
     """
-    records = []
-    for m in measurements:
-        if hasattr(m, "rows"):
-            records.append((m.rows, m.cols, m.tx_power_dbm, m.rx_power_dbm))
-        else:
-            rows, cols, tx, rx = m
-            records.append((rows, cols, tx, rx))
+    records = list(measurements)
     if not records:
         raise ValueError("measurements is empty")
     if not 0 <= baseline_index < len(records):
@@ -279,6 +286,14 @@ def relative_gains_from_power(measurements, baseline_index: int) -> list[SubArra
             gain = 1.0
         else:
             delta_db = (rx - rx_base) - (tx - tx_base)
-            gain = 10.0 ** (delta_db / 10.0)
+            try:
+                gain = 10.0 ** (delta_db / 10.0)
+            except OverflowError:
+                gain = math.inf
+            if not 0.0 < gain < math.inf:
+                raise ValueError(
+                    f"measurement {i}: a gain of {delta_db:.6g} dB over the baseline "
+                    "leaves the float range"
+                )
         gains.append(SubArrayGain(rows=rows, cols=cols, gain_linear=gain))
     return gains

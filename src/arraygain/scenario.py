@@ -243,30 +243,15 @@ def merged(path: str | None, overrides: dict) -> Scenario:
     return Scenario(**values)
 
 
-class MeasurementRecord(Value):
-    """One sub-array power log entry."""
-
-    __slots__ = ("rows", "cols", "tx_power_dbm", "rx_power_dbm")
-
-    def __init__(self, rows: int, cols: int, tx_power_dbm: float, rx_power_dbm: float) -> None:
-        check_positive_int("rows", rows)
-        check_positive_int("cols", cols)
-        for name, value in (("tx_power_dbm", tx_power_dbm), ("rx_power_dbm", rx_power_dbm)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        setfield(self, "rows", rows)
-        setfield(self, "cols", cols)
-        setfield(self, "tx_power_dbm", tx_power_dbm)
-        setfield(self, "rx_power_dbm", rx_power_dbm)
-
-
-def load_measurements_csv(path: str) -> list[MeasurementRecord]:
+def load_measurements_csv(path: str) -> list[tuple[int, int, float, float]]:
     """Read a measurement CSV: header rows,cols,tx_power_dbm,rx_power_dbm.
 
-    Blank lines and lines starting with '#' are ignored.  Diagnostics
-    carry file and line number.
+    Returns one (rows, cols, tx_power_dbm, rx_power_dbm) tuple per data
+    line, rows and cols positive integers and both powers finite.  Blank
+    lines and lines starting with '#' are ignored.  Diagnostics carry
+    file and line number.
     """
-    records: list[MeasurementRecord] = []
+    records: list[tuple[int, int, float, float]] = []
     header_seen = False
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -284,15 +269,16 @@ def load_measurements_csv(path: str) -> list[MeasurementRecord]:
             if len(parts) != 4:
                 raise MeasurementError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
             try:
-                record = MeasurementRecord(
-                    rows=int(parts[0]),
-                    cols=int(parts[1]),
-                    tx_power_dbm=float(parts[2]),
-                    rx_power_dbm=float(parts[3]),
-                )
+                rows, cols = int(parts[0]), int(parts[1])
+                tx, rx = float(parts[2]), float(parts[3])
+                check_positive_int("rows", rows)
+                check_positive_int("cols", cols)
+                for name, value in (("tx_power_dbm", tx), ("rx_power_dbm", rx)):
+                    if not math.isfinite(value):
+                        raise ValueError(f"{name} must be finite, got {value!r}")
             except ValueError as exc:
                 raise MeasurementError(f"{path}:{lineno}: {exc}") from None
-            records.append(record)
+            records.append((rows, cols, tx, rx))
     if not header_seen:
         raise MeasurementError(f"{path}: missing header {','.join(MEASUREMENT_HEADER)}")
     return records

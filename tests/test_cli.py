@@ -767,6 +767,24 @@ def test_estimate_unidentifiable_axis(tmp_path):
     assert result.stderr.startswith("error[estimate]: ZSD unidentifiable")
 
 
+@pytest.mark.parametrize(
+    "middle",
+    [("4,8,10.0,4000",), ("4,8,10.0,1530",), ("4,8,10.0,1430", "4,16,10.0,-1570")],
+    ids=["gain-overflows", "squared-ratio-overflows", "sums-overflow"],
+)
+def test_estimate_gains_beyond_float_range_fail_with_one_line(tmp_path, middle):
+    # 10 ** 407 and (1e160 / 1) ** 2 overflowed to error[internal], and sums
+    # of inf and -inf printed "normalized asd squared: nan" with exit 0
+    csv = tmp_path / "m.csv"
+    rows = ["rows,cols,tx_power_dbm,rx_power_dbm", "4,4,10.0,-70.0", *middle, "8,4,10.0,-67.1"]
+    csv.write_text("\n".join(rows) + "\n")
+    result = _run("estimate", str(csv), "--predict", "8", "8")
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error[input]: ")
+
+
 def test_estimate_output_matches_the_golden_file():
     # the script and file that the stdlib CI job diffs on each supported Python
     result = subprocess.run(

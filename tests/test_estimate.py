@@ -30,7 +30,6 @@ from arraygain import (
     predict_subarray_gain,
     relative_gains_from_power,
 )
-from arraygain.scenario import MeasurementRecord
 
 
 def _forward_gain(element, rows, cols, spread):
@@ -268,6 +267,27 @@ def test_predict_closed_loop():
     assert predicted == pytest.approx(truth, rel=1e-9)
 
 
+def test_predict_matches_the_normalized_formula():
+    # the closed form in normalized spreads, kept here as the reference
+    # for the prediction that beam computes on a unit element
+    def reference(ref, z, a, rows, cols):
+        scale = (
+            math.sqrt(1.0 / ref.rows**2 + z) * math.sqrt(1.0 / ref.cols**2 + a)
+        ) / (math.sqrt(1.0 / rows**2 + z) * math.sqrt(1.0 / cols**2 + a))
+        return ref.gain_linear * scale
+
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        z, a = 10.0 ** rng.uniform(-8.0, 4.0, size=2) * (rng.random(2) > 0.1)
+        counts = 2 ** rng.integers(0, 11, size=4)
+        rows, cols, target_rows, target_cols = (int(count) for count in counts)
+        ref = SubArrayGain(rows, cols, float(10.0 ** rng.uniform(-3.0, 3.0)))
+        estimate = SpreadEstimate(float(a), float(z), 1, 1)
+        predicted = predict_subarray_gain(ref, estimate, target_rows, target_cols)
+        expected = reference(ref, float(z), float(a), target_rows, target_cols)
+        assert predicted == pytest.approx(expected, rel=1e-13), (ref, estimate)
+
+
 def test_predict_validates_targets():
     estimate = SpreadEstimate(0.0, 0.0, 1, 1)
     ref = SubArrayGain(4, 4, 1.0)
@@ -301,13 +321,33 @@ def test_relative_gains_cancel_common_mode():
     assert a[1].gain_linear == b[1].gain_linear
 
 
-def test_relative_gains_accept_record_objects():
-    records = [
-        MeasurementRecord(4, 4, 10.0, -70.0),
-        MeasurementRecord(4, 8, 10.0, -67.0),
+@pytest.mark.parametrize("rx", [4000.0, -4000.0])
+def test_relative_gains_beyond_float_range_raise(rx):
+    # 10 ** 407 overflows and 10 ** -393 underflows to zero
+    with pytest.raises(ValueError, match="measurement 1: .* leaves the float range"):
+        relative_gains_from_power([(4, 4, 10.0, -70.0), (4, 8, 10.0, rx)], baseline_index=0)
+
+
+def test_pair_whose_squared_ratio_overflows_raises():
+    # (1e160)**2 overflows, and 1e300 / 1e-300 already does
+    for small, large in ((1.0, 1e160), (1e-300, 1e300)):
+        with pytest.raises(ValueError, match="squared gain ratio of 4x8 to 4x4 overflows"):
+            estimate_asd_sq_pair(SubArrayGain(4, 4, small), SubArrayGain(4, 8, large))
+        with pytest.raises(ValueError, match="overflows"):
+            estimate_ls(
+                [SubArrayGain(4, 4, small), SubArrayGain(4, 8, large), SubArrayGain(8, 4, 2.0)]
+            )
+
+
+def test_ls_whose_sums_overflow_raises_instead_of_nan():
+    # every squared ratio fits a float, but (1e150**2 - 1)**2 does not:
+    # the sums were inf and -inf, and their quotient nan
+    meas = [
+        SubArrayGain(4, 4, 1.0), SubArrayGain(4, 8, 1e150), SubArrayGain(4, 16, 1e-150),
+        SubArrayGain(8, 4, 2.0),
     ]
-    gains = relative_gains_from_power(records, baseline_index=0)
-    assert gains[1].gain_linear == pytest.approx(10.0 ** 0.3, rel=1e-12)
+    with pytest.raises(ValueError, match="ASD least-squares sums overflow"):
+        estimate_ls(meas)
 
 
 def test_relative_gains_validation():

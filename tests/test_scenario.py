@@ -9,7 +9,6 @@ import pytest
 from arraygain import ArrayGeometry, MeasurementError, ScenarioError
 from arraygain.scenario import (
     MEASUREMENT_HEADER,
-    MeasurementRecord,
     Scenario,
     load_measurements_csv,
     parse_geometry,
@@ -234,11 +233,7 @@ def _write_csv(path, rows):
 def test_load_measurements_csv(tmp_path):
     path = tmp_path / "m.csv"
     _write_csv(path, [(4, 4, 10.0, -70.0), (4, 8, 10.0, -67.0)])
-    records = load_measurements_csv(path)
-    assert records == [
-        MeasurementRecord(4, 4, 10.0, -70.0),
-        MeasurementRecord(4, 8, 10.0, -67.0),
-    ]
+    assert load_measurements_csv(path) == [(4, 4, 10.0, -70.0), (4, 8, 10.0, -67.0)]
 
 
 def test_load_measurements_csv_skips_comments_and_blanks(tmp_path):
@@ -251,8 +246,7 @@ def test_load_measurements_csv_skips_comments_and_blanks(tmp_path):
         "# mid-file note\n"
         "8,4,10.0,-66.0\n"
     )
-    records = load_measurements_csv(path)
-    assert [(r.rows, r.cols) for r in records] == [(4, 4), (8, 4)]
+    assert load_measurements_csv(path) == [(4, 4, 10.0, -70.0), (8, 4, 10.0, -66.0)]
 
 
 def test_load_measurements_csv_diagnostics(tmp_path):
@@ -277,20 +271,15 @@ def test_load_measurements_csv_diagnostics(tmp_path):
         load_measurements_csv(empty)
 
 
-def test_measurement_record_validation():
-    with pytest.raises(ValueError, match="positive integer"):
-        MeasurementRecord(0, 4, 10.0, -70.0)
-    with pytest.raises(ValueError, match="positive integer"):
-        MeasurementRecord(4, 4.0, 10.0, -70.0)
-    with pytest.raises(ValueError, match="finite"):
-        MeasurementRecord(4, 4, math.nan, -70.0)
-
-
-def test_measurement_record_value_type(check_value_type):
-    check_value_type(
-        MeasurementRecord,
-        {"rows": 4, "cols": 8, "tx_power_dbm": 10.0, "rx_power_dbm": -67.5},
-        "MeasurementRecord(rows=4, cols=8, tx_power_dbm=10.0, rx_power_dbm=-67.5)",
-        {"rows": 4, "cols": 8, "tx_power_dbm": 10.0, "rx_power_dbm": math.inf},
-        "rx_power_dbm must be finite, got inf",
-    )
+def test_load_measurements_csv_rejects_bad_values(tmp_path):
+    # each value the loader returns is checked, and the line is named
+    cases = {
+        "rows.csv": ("0,4,10.0,-70.0", "rows must be a positive integer, got 0"),
+        "cols.csv": ("4,4.0,10.0,-70.0", "invalid literal for int"),
+        "nan.csv": ("4,4,nan,-70.0", "tx_power_dbm must be finite, got nan"),
+    }
+    for name, (row, message) in cases.items():
+        path = tmp_path / name
+        path.write_text(f"rows,cols,tx_power_dbm,rx_power_dbm\n4,4,10.0,-70.0\n{row}\n")
+        with pytest.raises(MeasurementError, match=rf"{name}:3: {message}"):
+            load_measurements_csv(path)
