@@ -16,3 +16,19 @@ trap 'rm -f "$csv"' EXIT
 "$py" -m arraygain optimize --elements 720 --element-gain-dbi 5 --asd-deg 22 --zsd-deg 5 \
     --csv "$csv" > /dev/null
 cat "$csv"
+# no spread on either axis: the winner is 1100 x 1
+"$py" -m arraygain sweep --elements 1100 --element-gain-dbi 5 --asd-deg 0 --zsd-deg 0
+# no azimuth spread: the winner is 1 x 1050, past 1,000 columns
+"$py" -m arraygain sweep --elements 1050 --element-gain-dbi 5 --asd-deg 0 --zsd-deg 5
+# no elevation spread: the winner is 1020 x 1
+"$py" -m arraygain sweep --elements 1020 --bw-elev-deg 30 --bw-azim-deg 12 --asd-deg 9 \
+    --zsd-deg 0
+# budgets on either side of the 1,000-column block line
+for n in 999 1000 1001; do
+    "$py" -m arraygain sweep --elements "$n" --element-gain-dbi 5 --asd-deg 22 --zsd-deg 5
+done
+# the winner 11 x 118 lies inside a run of several columns below 1,000
+"$py" -m arraygain sweep --elements 1300 --element-gain-dbi 5 --asd-deg 2 --zsd-deg 20
+# a list that repeats the winner 32 x 8
+"$py" -m arraygain sweep --elements 256 --element-gain-dbi 5 --asd-deg 22 --zsd-deg 5 \
+    --geometries 32x8,16x16,32x8,1x256,32x8

@@ -541,6 +541,31 @@ def test_sweep_long_run_is_written_in_blocks(tmp_path):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+def test_zero_spread_sweep_matches_its_digest(tmp_path, monkeypatch):
+    # with no spread the gain climbs at every column, so no block joins and
+    # every row is written row by row
+    real = cli._flat_text
+    joined = []
+
+    def flat_text(dbi, block):
+        text = real(dbi, block)
+        joined.append(text is not None and len(block) > 1)
+        return text
+
+    monkeypatch.setattr(cli, "_flat_text", flat_text)
+    out = tmp_path / "sweep.csv"
+    status = cli.main([
+        "sweep", "--elements", "20000", "--element-gain-dbi", "5",
+        "--asd-deg", "0", "--zsd-deg", "0", "--out", str(out),
+    ])
+    assert status == 0 and not any(joined)
+    data = out.read_bytes()
+    assert data.count(b"\n") == 20_001
+    # the digest that the stdlib CI job also checks
+    digest = (_DATA / "sweep_20000_zero.sha256").read_text().split()[0]
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "n, values, geometries, joined_share",
     [
