@@ -15,10 +15,10 @@ beamwidth by the element count along that axis.  Multipath angular
 spread convolves the pattern with the channel's own Gaussian spectrum,
 so the effective beamwidth per axis is the root-sum-square of the
 nominal beamwidth and the spread.  That widening lives in this module
-alone, in two forms: :func:`effective_gain_value` for one geometry and
-:func:`row_gains_dbi` for a run of columns.  The effective gain always
-sits at or below both the nominal gain and the budget-level upper bound
-computed in :mod:`arraygain.optimize`.
+alone: :func:`effective_gain_value` for one geometry, :func:`pair_gains_dbi`
+for a list and :func:`row_gains_dbi` for a run of columns.  The effective
+gain always sits at or below both the nominal gain and the budget-level
+upper bound computed in :mod:`arraygain.optimize`.
 
 All beamwidths and spreads are RMS values in radians.  Gains are linear
 power ratios unless a name ends in ``_dbi``.
@@ -261,7 +261,7 @@ def effective_gain_value(
     gain is 2 / (product of the widths).  Takes real-valued rows/cols and
     returns just the linear gain.  Used by :func:`effective_gain` and to
     evaluate the continuous optimum and the integer scan with its
-    envelope; :func:`row_gains_dbi` repeats its operations over a run.
+    envelope; :func:`pair_gains_dbi` repeats its operations over a list.
     """
     if rows <= 0.0 or cols <= 0.0:
         raise ValueError("rows and cols must be positive")
@@ -270,20 +270,32 @@ def effective_gain_value(
     return 2.0 / (bw_elev * bw_azim)
 
 
-def row_gains_dbi(element: ElementPattern, rows: int, cols, spread: AngularSpread):
-    """Lazy dBi gains of rows x c for each c in the iterable ``cols``.
+def _widths(bw: float, counts, spread: float):
+    # hypot(bw / c, spread) for each c in counts.  hypot(x, 0.0) is exactly x
+    # (C99 F.10.4.3), so a zero spread drops that stage and no bit changes
+    nominal = map(truediv, repeat(bw), counts)
+    return map(math.hypot, nominal, repeat(spread)) if spread else nominal
 
-    Each is ``linear_to_db(effective_gain_value(element, rows, c, spread))``
-    float operation for float operation, with the elevation width computed
-    once and no count checked.  :func:`_check_budget` keeps each within
-    about 1e-12 dB of the exact gain: it makes every width and gain a normal
-    float, where truediv, hypot, mul and log10 err by a few ulps.
+
+def pair_gains_dbi(element: ElementPattern, rows, cols, spread: AngularSpread):
+    """Lazy dBi gains of r x c for r and c taken in step from ``rows`` and ``cols``.
+
+    Each is ``linear_to_db(effective_gain_value(element, r, c, spread))``
+    float operation for float operation, with no count checked.
+    :func:`_check_budget` keeps each within about 1e-12 dB of the exact
+    gain: it makes every width and gain a normal float, where truediv,
+    hypot, mul and log10 err by a few ulps.
     """
-    bw_elev = math.hypot(element.bw_elev_rad / rows, spread.zsd_rad)
-    nominal = map(truediv, repeat(element.bw_azim_rad), cols)
-    azims = map(math.hypot, nominal, repeat(spread.asd_rad))
-    gains = map(truediv, repeat(2.0), map(mul, repeat(bw_elev), azims))
-    return map(mul, repeat(10.0), map(math.log10, gains))
+    elevs = _widths(element.bw_elev_rad, rows, spread.zsd_rad)
+    widths = map(mul, elevs, _widths(element.bw_azim_rad, cols, spread.asd_rad))
+    return map(mul, repeat(10.0), map(math.log10, map(truediv, repeat(2.0), widths)))
+
+
+def row_gains_dbi(element: ElementPattern, rows: int, cols, spread: AngularSpread):
+    """:func:`pair_gains_dbi` for one ``rows``, its elevation width computed once."""
+    elev = repeat(math.hypot(element.bw_elev_rad / rows, spread.zsd_rad))
+    widths = map(mul, elev, _widths(element.bw_azim_rad, cols, spread.asd_rad))
+    return map(mul, repeat(10.0), map(math.log10, map(truediv, repeat(2.0), widths)))
 
 
 def effective_gain(

@@ -11,9 +11,9 @@ exit status is 0 on success, 1 on user error or a failed validation,
 2 on an internal fault.  Output is byte-stable for fixed inputs: fixed
 field order, 6-decimal floats, LF line endings.
 
-``sweep`` writes runs of equal rows in blocks that end at multiples of
-1,000 columns, so its memory stays flat in N, with its gains from ``beam``;
-:func:`_write_sweep` says when a block is written as one join.
+``sweep`` writes cols 1..999, or a listed set, in batches of up to 1,000
+rows, then runs of equal rows in blocks that end at multiples of 1,000
+columns, its gains from ``beam``; :func:`_write_sweep` says which join.
 
 Each subcommand imports the modules it runs when it runs, so a cold
 start compiles and loads only those.
@@ -29,9 +29,10 @@ import sys
 from contextlib import contextmanager, suppress
 from functools import cache
 from itertools import chain, repeat
-from operator import eq
+from operator import floordiv
 
-from .beam import effective_gain, effective_gain_value, nominal_beamwidths, row_gains_dbi
+from .beam import effective_gain, effective_gain_value, nominal_beamwidths
+from .beam import pair_gains_dbi, row_gains_dbi
 from .errors import ArrayGainError, OracleUnavailableError, ScenarioError
 from .scenario import Scenario, load_measurements_csv, merged, parse_geometry_list
 from .units import linear_to_db
@@ -100,14 +101,14 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     return merged(getattr(args, "scenario", None) or None, overrides)
 
 
-# sweep blocks end at multiples of this many columns, so from cols = 1,000
-# on the cols of a block share all but their last three digits
+# a sweep batch holds at most this many rows, and blocks end at multiples of
+# this many columns: from 1,000 on, a block's cols share all but three digits
 _SWEEP_BLOCK = 1000
 
 
 @cache
 def _tails() -> tuple[str, ...]:
-    # those last three digits; built on first use, so a sweep that stays
+    # those three digits; built on first use, so a sweep that stays
     # below 1,000 columns never pays for them
     return tuple(f"{i:03d}" for i in range(_SWEEP_BLOCK))
 
@@ -159,59 +160,55 @@ def _output(path: str | None):
             raise
 
 
-def _write_rows(out, rows: int, block: range, dbis, winner_cols: int) -> None:
-    # the gains dbis of block, column by column, written with one "%" template
-    if winner_cols in block:
-        template = f"{rows},%d,%.6f,%d\n"
-        fields = zip(block, dbis, map(eq, block, repeat(winner_cols)))
-    else:
-        template = f"{rows},%d,%.6f,0\n"
-        fields = zip(block, dbis)
-    out.write((template * len(block)) % tuple(chain.from_iterable(fields)))
+def _write_batch(out, element, spread, rows, cols, winner) -> None:
+    # rows[i] x cols[i] for each i, at most _SWEEP_BLOCK, with one "%" template.
+    # A line's text is a function of its geometry, so one replace marks the
+    # winner's lines; a match ends at its flag, so two in a row do not overlap
+    template = "%d,%d,%.6f,0\n"
+    dbis = pair_gains_dbi(element, rows, cols, spread)
+    text = (template * len(cols)) % tuple(chain.from_iterable(zip(rows, cols, dbis)))
+    line = template % (winner.rows, winner.cols, *pair_gains_dbi(
+        element, (winner.rows,), (winner.cols,), spread))
+    out.write(("\n" + text).replace("\n" + line[:-1], "\n" + line[:-2] + "1")[1:])
 
 
-def _write_sweep(path: str | None, element, spread, runs, winner) -> None:
-    # runs: (rows, range of cols) pairs, consumed once; path None is stdout.
+def _write_sweep(path: str | None, element, spread, geometries, runs, winner) -> None:
+    # geometries: (rows, cols) sequences, written in batches; runs: (rows,
+    # range of cols from 1,000 on) pairs, consumed once; path None is stdout.
     #
-    # A block from cols = 1,000 on that does not hold the winner is decided
-    # from its two end gains alone (_flat_text).  Within a run of equal rows
-    # the exact gain does not fall as cols grows, and beam.row_gains_dbi
-    # says why each computed dBi is within about 1e-12 dB of it.  So every
-    # column's value lies in [min - m, max + m] of the two end values,
-    # m = _MARGIN_DB, and "%.6f" is correctly rounded, so it never falls as
-    # its input rises: when min - m and max + m print alike, every column
-    # prints that text, and the block is one join over the last three digits
-    # of its cols with no gain computed inside it.  Any other block is
-    # written row by row; both give the same bytes, so nothing checks the
-    # rows a join stands for
+    # A run's block that does not hold the winner is decided from its two end
+    # gains alone (_flat_text).  Within a run of equal rows the exact gain
+    # does not fall as cols grows, and beam.row_gains_dbi says why each
+    # computed dBi is within about 1e-12 dB of it.  So every column's value
+    # lies in [min - m, max + m] of the two end values, m = _MARGIN_DB, and
+    # "%.6f" is correctly rounded, so it never falls as its input rises: when
+    # min - m and max + m print alike, every column prints that text, and the
+    # block is one join over the last three digits of its cols with no gain
+    # computed inside it.  Any other block is written row by row; both give
+    # the same bytes, so nothing checks the rows a join stands for
     with _output(path) as out:
         out.write(SWEEP_HEADER + "\n")
+        rows, cols = geometries
+        for i in range(0, len(cols), _SWEEP_BLOCK):
+            batch = slice(i, i + _SWEEP_BLOCK)
+            _write_batch(out, element, spread, rows[batch], cols[batch], winner)
         for rows, cols in runs:
             def dbi(col: int) -> float:
                 return linear_to_db(effective_gain_value(element, rows, col, spread))
 
-            winner_cols = winner.cols if rows == winner.rows else 0
-            if len(cols) == 1:
-                # every cols <= sqrt(N), and each listed geometry: one gain
-                # and one line, with no per-block set-up
-                col = cols.start
-                out.write("%d,%d,%.6f,%d\n" % (rows, col, dbi(col), col == winner_cols))
-                continue
             start = cols.start
             while start < cols.stop:
                 block = range(start, min(start - start % _SWEEP_BLOCK + _SWEEP_BLOCK, cols.stop))
-                if (
-                    start >= _SWEEP_BLOCK
-                    and winner_cols not in block
-                    and (shared := _flat_text(dbi, block)) is not None
-                ):
-                    head = f"{rows},{start // _SWEEP_BLOCK}"
-                    lo = start % _SWEEP_BLOCK
-                    tails = _tails()[lo:lo + len(block)]
+                head = f"{rows},{start // _SWEEP_BLOCK}"
+                tails = _tails()[start % _SWEEP_BLOCK:][:len(block)]
+                if rows == winner.rows and winner.cols in block:
+                    _write_batch(out, element, spread, [rows] * len(block), block, winner)
+                elif (shared := _flat_text(dbi, block)) is not None:
                     out.write(head + f",{shared},0\n{head}".join(tails) + f",{shared},0\n")
                 else:
                     dbis = row_gains_dbi(element, rows, block, spread)
-                    _write_rows(out, rows, block, dbis, winner_cols)
+                    template = f"{head}%s,%.6f,0\n" * len(block)
+                    out.write(template % tuple(chain.from_iterable(zip(tails, dbis))))
                 start = block.stop
 
 
@@ -244,7 +241,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     lines.append(f"upper bound: {_db(linear_to_db(result.bound_gain_linear))} dBi")
     # the file first: a failure to write it leaves no report on stdout
     if args.csv is not None:
-        _write_sweep(args.csv, element, spread, [(best.rows, range(best.cols, best.cols + 1))], best)
+        _write_sweep(args.csv, element, spread, ([best.rows], [best.cols]), (), best)
     print("\n".join(lines))
     return 0
 
@@ -258,17 +255,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     budget = scenario.budget()
     listed = None
     if args.geometries is None or args.geometries == "all":
-        runs = _row_runs(budget)
+        low = range(1, min(budget, _SWEEP_BLOCK - 1) + 1)
+        geometries = (list(map(floordiv, repeat(budget), low)), low)
+        runs = _row_runs(budget, low.stop)
     else:
         listed = parse_geometry_list(args.geometries)
-        runs = ((geom.rows, range(geom.cols, geom.cols + 1)) for geom in listed)
+        geometries, runs = ([geom.rows for geom in listed], [geom.cols for geom in listed]), ()
     # the optimum comes from the allowed list when there is one, else from LIST
     restriction = listed if scenario.allowed_geometries is None else scenario.allowed_geometries
     winner = optimal_geometry_integer(budget, element, spread, restriction).integer_best
     if listed is not None:
         # every listed row fits the budget, whichever list the optimum came from
         _check_fits(listed, budget)
-    _write_sweep(args.out, element, spread, runs, winner)
+    _write_sweep(args.out, element, spread, geometries, runs, winner)
     return 0
 
 

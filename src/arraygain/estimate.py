@@ -19,15 +19,15 @@ combined by least squares and the result clamped to zero from below.
 All of it is scale-invariant (only gain ratios enter), so measurements
 may be in any consistent relative scale, e.g. the gains that
 :func:`relative_gains_from_power` makes of (rows, cols, tx_power_dbm,
-rx_power_dbm) tuples.  A gain ratio or a fit that overflows a float
-raises ValueError.  Predictions take their gains from :mod:`arraygain.beam`.
+rx_power_dbm) tuples.  A gain ratio, a squared count or a fit that overflows
+a float raises ValueError.  Predictions take their gains from :mod:`arraygain.beam`.
 """
 
 from __future__ import annotations
 
 import math
 
-from .beam import AngularSpread, ElementPattern, effective_gain_value
+from .beam import AngularSpread, ElementPattern, _check_budget, effective_gain_value
 from .errors import IndeterminatePairError, InvalidPairError, UnidentifiableSpreadError
 from .errors import check_positive_float, check_positive_int
 from .value import Value, setfield
@@ -121,7 +121,10 @@ def _pair_coeffs(p, q) -> tuple[float, float] | None:
             f"indeterminate pair: equal gains for {p[2].rows}x{p[2].cols} "
             f"and {q[2].rows}x{q[2].cols}"
         )
-    return a, 1.0 / count_small**2 - r / count_large**2
+    try:
+        return a, 1.0 / count_small**2 - r / count_large**2
+    except OverflowError:
+        raise ValueError(f"squared count of {large.rows}x{large.cols} overflows") from None
 
 
 def _pair_estimate(m_a: SubArrayGain, m_b: SubArrayGain, axis: str) -> float:
@@ -245,6 +248,7 @@ def predict_subarray_gain(
     check_positive_int("target_rows", target_rows)
     check_positive_int("target_cols", target_cols)
     spread = estimate.absolute_spread(_UNIT)
+    _check_budget(target_rows * target_cols, _UNIT, spread)  # every width and gain a normal float
     target = effective_gain_value(_UNIT, target_rows, target_cols, spread)
     return reference.gain_linear * (
         target / effective_gain_value(_UNIT, reference.rows, reference.cols, spread)

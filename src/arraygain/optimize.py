@@ -151,13 +151,13 @@ def _run(n: int, cols: int) -> range:
     return range(n // (rows + 1) + 1, n // rows + 1)
 
 
-def _row_runs(n: int) -> Iterator[tuple[int, range]]:
-    # the geometries (N // cols, cols), cols = 1..N, as (rows, range of
-    # cols) runs of equal rows in ascending cols: about 2 sqrt(N) of them
-    cols = 1
+def _row_runs(n: int, cols: int = 1) -> Iterator[tuple[int, range]]:
+    # the geometries (N // c, c), c = cols..N, as (rows, range of c) runs of
+    # equal rows in ascending c: about 2 sqrt(N) of them from cols = 1
     while cols <= n:
-        yield n // cols, (run := _run(n, cols))
-        cols = run.stop
+        stop = _run(n, cols).stop
+        yield n // cols, range(cols, stop)
+        cols = stop
 
 
 def _select(scored: list[tuple[float, int, int]]) -> tuple[float, int, int]:

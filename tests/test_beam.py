@@ -30,7 +30,7 @@ from arraygain import (
     element_pattern_from_gain,
     nominal_beamwidths,
 )
-from arraygain.beam import row_gains_dbi
+from arraygain.beam import pair_gains_dbi, row_gains_dbi
 from arraygain.units import linear_to_db
 
 
@@ -349,6 +349,37 @@ def test_row_gains_match_the_scalar_gain_bit_for_bit():
         want = [linear_to_db(effective_gain_value(element, rows, c, spread)) for c in block]
         got = list(map(float.hex, row_gains_dbi(element, rows, block, spread)))
         assert got == list(map(float.hex, want)), (element, spread, rows, block)
+    assert zeros == [1000, 1000]
+
+
+def test_pair_gains_match_the_scalar_gain_bit_for_bit():
+    # the same draws as the run test above, with rows and cols varying
+    # together, as in a sweep's batch below 1,000 columns or a listed set
+    rng = np.random.default_rng(59)
+
+    def log_uniform(lo, hi):
+        return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+    zeros = [0, 0]  # spreads drawn as exact zeros, per axis
+    for case in range(2000):
+        element = ElementPattern(
+            math.radians(log_uniform(0.01, 200.0)), math.radians(log_uniform(0.01, 200.0))
+        )
+        # cases cycle through no zero, zsd = 0, asd = 0 and both zero
+        zsd, asd = (
+            0.0 if case & bit else math.radians(log_uniform(1e-6, 80.0)) for bit in (1, 2)
+        )
+        zeros[0] += zsd == 0.0
+        zeros[1] += asd == 0.0
+        spread = AngularSpread(zsd_rad=zsd, asd_rad=asd)
+        size = int(rng.integers(1, 200))
+        rows = np.rint(np.exp(rng.uniform(0.0, np.log(1e6), size))).astype(int).tolist()
+        cols = np.rint(np.exp(rng.uniform(0.0, np.log(1e9), size))).astype(int).tolist()
+        want = [
+            linear_to_db(effective_gain_value(element, r, c, spread)) for r, c in zip(rows, cols)
+        ]
+        got = list(map(float.hex, pair_gains_dbi(element, rows, cols, spread)))
+        assert got == list(map(float.hex, want)), (element, spread, rows, cols)
     assert zeros == [1000, 1000]
 
 

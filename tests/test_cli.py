@@ -431,14 +431,14 @@ _FAILED_WRITE = "error[io]: [Errno 5] the disk went away\n"
 @pytest.fixture
 def failing_write(monkeypatch):
     # no input fails once the file is open, so the failure is injected: the
-    # first block is written, then the write fails
-    real = cli._write_rows
+    # first block, the batch of cols 1..999, is written, then the write fails
+    real = cli._write_batch
 
-    def write_rows(out, *args):
+    def write_batch(out, *args):
         real(out, *args)
         raise OSError(errno.EIO, "the disk went away")
 
-    monkeypatch.setattr(cli, "_write_rows", write_rows)
+    monkeypatch.setattr(cli, "_write_batch", write_batch)
 
 
 def test_sweep_failure_keeps_a_fifo(tmp_path, capsys, failing_write):
@@ -804,6 +804,32 @@ def test_estimate_gains_beyond_float_range_fail_with_one_line(tmp_path, middle):
     rows = ["rows,cols,tx_power_dbm,rx_power_dbm", "4,4,10.0,-70.0", *middle, "8,4,10.0,-67.1"]
     csv.write_text("\n".join(rows) + "\n")
     result = _run("estimate", str(csv), "--predict", "8", "8")
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error[input]: ")
+
+
+# gains in the aperture law 4x4 : 4x8 : 8x4 = 1 : 2 : 2, a zero-spread estimate
+_ZERO_SPREAD = ["4,4,0.0,-70.0", "4,8,0.0,-66.98970004336019", "8,4,0.0,-66.98970004336019"]
+
+
+@pytest.mark.parametrize(
+    "middle, predict",
+    [
+        ([f"4,{10**200},0.0,-60.0"], []),
+        ([], ["--predict", str(10**400), "1"]),
+        ([], ["--predict", str(10**200), str(10**200)]),
+    ],
+    ids=["csv-cols-squared", "predict-count", "predict-zero-spread-widths"],
+)
+def test_estimate_counts_beyond_float_range_fail_with_one_line(tmp_path, middle, predict):
+    # each printed error[internal] and exited 2: a squared count and a count
+    # that do not convert to float, and two widths whose product is 0
+    csv = tmp_path / "m.csv"
+    rows = ["rows,cols,tx_power_dbm,rx_power_dbm", *_ZERO_SPREAD, *middle]
+    csv.write_text("\n".join(rows) + "\n")
+    result = _run("estimate", str(csv), *predict)
     assert result.returncode == 1
     assert result.stdout == ""
     assert len(result.stderr.splitlines()) == 1
