@@ -12,8 +12,8 @@ exit status is 0 on success, 1 on user error or a failed validation,
 field order, 6-decimal floats, LF line endings.
 
 ``sweep`` writes cols 1..999, or a listed set, in batches of up to 1,000
-rows, then runs of equal rows in blocks that end at multiples of 1,000
-columns, its gains from ``beam``; :func:`_write_sweep` says which join.
+rows, then runs of equal rows in blocks ending at multiples of 1,000
+columns, gains from ``beam``; :func:`_write_sweep` says which blocks join.
 
 Each subcommand imports the modules it runs when it runs, so a cold
 start compiles and loads only those.
