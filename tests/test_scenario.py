@@ -75,6 +75,38 @@ def test_scenario_rejects_bad_numbers():
         Scenario(element_gain_dbi=math.inf)
 
 
+def _one_key_out_of_range():
+    # each numeric key alone out of range, over a valid scenario of the
+    # element form that key belongs to, and the exact message it raises
+    gain = {"element_gain_dbi": 5.0}
+    widths = {"bw_elev_deg": 45.0, "bw_azim_deg": 45.0}
+    finite = ("element_gain_dbi", "bw_elev_deg", "bw_azim_deg", "eirp_dbm", "per_element_power_dbm")
+    for key in (*finite, "asd_deg", "zsd_deg"):
+        base = widths if key.startswith("bw_") else gain
+        words = "must be finite" if key in finite else "must be finite and >= 0"
+        cases = [(value, words) for value in (math.nan, math.inf, -math.inf)]
+        if key.startswith("bw_"):
+            cases += [(0.0, "must be > 0"), (-1.0, "must be > 0")]
+        elif key not in finite:
+            cases += [(-1.0, words)]
+        for value, why in cases:
+            yield pytest.param({**base, key: value}, f"{key} {why}, got {value!r}", id=f"{key}={value!r}")
+    for value in (0, -1):
+        for key, others in (("n_elements", {}), ("rows", {"cols": 4}), ("cols", {"rows": 4})):
+            yield pytest.param(
+                {**gain, **others, key: value}, f"{key} must be >= 1, got {value!r}", id=f"{key}={value!r}"
+            )
+    for key in ("rows", "cols"):
+        yield pytest.param({**gain, key: 4}, "rows and cols must be given together", id=f"{key} alone")
+
+
+@pytest.mark.parametrize("keywords, message", _one_key_out_of_range())
+def test_scenario_range_messages(keywords, message):
+    with pytest.raises(ScenarioError) as caught:
+        Scenario(**keywords)
+    assert str(caught.value) == message
+
+
 def test_scenario_value_type(check_value_type):
     fields = {
         "element_gain_dbi": 5.0, "bw_elev_deg": None, "bw_azim_deg": None, "n_elements": 256,
