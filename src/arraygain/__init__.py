@@ -55,7 +55,6 @@ _HOMES = {
     "relative_gains_from_power": "estimate",
     "ContinuousGeometry": "optimize",
     "OptimizationResult": "optimize",
-    "gain_upper_bound": "optimize",
     "max_elements_for_eirp": "optimize",
     "optimal_geometry_continuous": "optimize",
     "optimal_geometry_integer": "optimize",

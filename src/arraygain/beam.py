@@ -18,7 +18,9 @@ nominal beamwidth and the spread.  That widening lives in this module
 alone: :func:`effective_gain_value` for one geometry, :func:`pair_gains_dbi`
 for a list and :func:`row_gains_dbi` for a run of columns.  The effective
 gain always sits at or below both the nominal gain and the budget-level
-upper bound computed in :mod:`arraygain.optimize`.
+upper bound 2 / (asd * zsd + bw_elev * bw_azim / N), which
+:class:`GainReport` gives at N = rows * cols and
+:class:`arraygain.optimize.OptimizationResult` at the element budget.
 
 All beamwidths and spreads are RMS values in radians.  Gains are linear
 power ratios unless a name ends in ``_dbi``.
@@ -114,28 +116,16 @@ class AngularSpread(Value):
 class GainReport(Value):
     """Nominal gain, effective gain, and upper bound for one geometry.
 
-    The effective gain can never exceed the nominal gain (spread only
-    widens the beam) nor the budget-level bound; construction enforces
-    both orderings to 1e-12 relative.
+    Each gain is stored once, linear; its ``_dbi`` property converts it
+    when read.  The effective gain can never exceed the nominal gain
+    (spread only widens the beam) nor the budget-level bound;
+    construction enforces both orderings to 1e-12 relative.
     """
 
-    __slots__ = (
-        "nominal_gain_linear",
-        "effective_gain_linear",
-        "upper_bound_linear",
-        "nominal_gain_dbi",
-        "effective_gain_dbi",
-        "upper_bound_dbi",
-    )
+    __slots__ = ("nominal_gain_linear", "effective_gain_linear", "upper_bound_linear")
 
     def __init__(
-        self,
-        nominal_gain_linear: float,
-        effective_gain_linear: float,
-        upper_bound_linear: float,
-        nominal_gain_dbi: float,
-        effective_gain_dbi: float,
-        upper_bound_dbi: float,
+        self, nominal_gain_linear: float, effective_gain_linear: float, upper_bound_linear: float
     ) -> None:
         if effective_gain_linear > nominal_gain_linear * (1.0 + _REL_TOL):
             raise ValueError("effective gain exceeds nominal gain")
@@ -144,20 +134,10 @@ class GainReport(Value):
         setfield(self, "nominal_gain_linear", nominal_gain_linear)
         setfield(self, "effective_gain_linear", effective_gain_linear)
         setfield(self, "upper_bound_linear", upper_bound_linear)
-        setfield(self, "nominal_gain_dbi", nominal_gain_dbi)
-        setfield(self, "effective_gain_dbi", effective_gain_dbi)
-        setfield(self, "upper_bound_dbi", upper_bound_dbi)
 
-    @classmethod
-    def from_linear(cls, nominal: float, effective: float, bound: float) -> GainReport:
-        return cls(
-            nominal_gain_linear=nominal,
-            effective_gain_linear=effective,
-            upper_bound_linear=bound,
-            nominal_gain_dbi=linear_to_db(nominal),
-            effective_gain_dbi=linear_to_db(effective),
-            upper_bound_dbi=linear_to_db(bound),
-        )
+    nominal_gain_dbi = property(lambda self: linear_to_db(self.nominal_gain_linear))
+    effective_gain_dbi = property(lambda self: linear_to_db(self.effective_gain_linear))
+    upper_bound_dbi = property(lambda self: linear_to_db(self.upper_bound_linear))
 
 
 def element_pattern_from_gain(gain_dbi: float) -> ElementPattern:
@@ -219,8 +199,7 @@ def _check_budget(n_elements: int, element: ElementPattern, spread: AngularSprea
     # bw / N and a gain between the 1 x 1 gain and N * G_e.  Once those are
     # normal floats, so is every width and gain that any such geometry takes
     # on, and nothing downstream needs a fallback for the float range
-    if n_elements < 1:
-        raise ValueError(f"n_elements must be >= 1, got {n_elements!r}")
+    check_positive_int("n_elements", n_elements)
     try:
         overflows = n_elements * element.gain_linear == math.inf
     except OverflowError:
@@ -245,7 +224,8 @@ def _check_budget(n_elements: int, element: ElementPattern, spread: AngularSprea
 def _upper_bound(n_elements: float, element: ElementPattern, spread: AngularSpread) -> float:
     # AM-GM floor of the widened beamwidth product at budget n_elements:
     # bw_v*bw_h >= asd*zsd + bw_elev*bw_azim/n, equality when the geometry
-    # matches the spread ratio. Shared with optimize.gain_upper_bound.
+    # matches the spread ratio: GainReport's bound at N = rows * cols and
+    # OptimizationResult's at the budget
     return 2.0 / (
         spread.asd_rad * spread.zsd_rad
         + element.bw_elev_rad * element.bw_azim_rad / n_elements
@@ -318,7 +298,7 @@ def effective_gain(
     Returns
     -------
     GainReport
-        Nominal, effective and bound gains, linear and dBi.
+        Nominal, effective and bound gains, linear; each also in dBi.
     """
     _check_budget(geom.n_elements, element, spread)
     return _report(element, geom, spread)
@@ -326,9 +306,9 @@ def effective_gain(
 
 def _report(element: ElementPattern, geom: ArrayGeometry, spread: AngularSpread) -> GainReport:
     # effective_gain past its budget check, for a caller that has run it
-    return GainReport.from_linear(
+    return GainReport(
         # hypot(x, 0) is exactly x, so this is effective_gain_value at zero spread
-        nominal=nominal_beamwidths(element, geom).gain_linear,
-        effective=effective_gain_value(element, geom.rows, geom.cols, spread),
-        bound=_upper_bound(geom.n_elements, element, spread),
+        nominal_beamwidths(element, geom).gain_linear,
+        effective_gain_value(element, geom.rows, geom.cols, spread),
+        _upper_bound(geom.n_elements, element, spread),
     )

@@ -9,7 +9,10 @@ with equality exactly when the nominal beam matches the channel,
 bw_azim0 / bw_elev0 = asd / zsd.  That gives a closed-form real-valued
 optimum (rows grow with the azimuth spread: widening in azimuth is
 inevitable, so elements are better spent narrowing elevation) plus a
-gain ceiling no geometry can beat.  The integer winner is the tallest
+gain ceiling no geometry can beat, 2 / (asd * zsd + bw_elev * bw_azim / N):
+:attr:`OptimizationResult.bound_gain_linear` at the budget, and
+:attr:`arraygain.beam.GainReport.upper_bound_linear` for one geometry.
+At zero spread it is N times the element gain.  The integer winner is the tallest
 geometry rows = N // cols whose gain is within 1e-12 of the best over cols
 1..N, a property of the set of gains; a walk over runs of equal rows out
 from the closed-form cols finds it, zero spread too.
@@ -85,28 +88,6 @@ class OptimizationResult(Value):
 # the largest budget the walk over runs takes on: ordinary inputs answer in
 # about a second at 10**12, and the walk's time grows with sqrt(N)
 _MAX_SCAN_ELEMENTS = 10**12
-
-
-def gain_upper_bound(
-    n_elements: int, element: ElementPattern, spread: AngularSpread
-) -> float:
-    """Best effective gain any geometry within the element budget can reach.
-
-    Parameters
-    ----------
-    n_elements : int
-        Element budget N, >= 1.  Geometries may underfill it.
-    element : ElementPattern
-    spread : AngularSpread
-
-    Returns
-    -------
-    float
-        2 / (asd * zsd + bw_elev * bw_azim / N), linear.  At zero spread
-        this collapses to N times the element gain.
-    """
-    _check_budget(n_elements, element, spread)
-    return _upper_bound(n_elements, element, spread)
 
 
 def optimal_geometry_continuous(

@@ -60,13 +60,34 @@ _KEYS = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Scenario's range checks in the order they run, as (keys, words, test): the
+# first given key whose value fails its test is named, with its row's words.
+# That rows and cols come together is checked just before their first row
+_RANGES = (
+    (("element_gain_dbi", "bw_elev_deg", "bw_azim_deg", "eirp_dbm", "per_element_power_dbm"),
+     "must be finite", math.isfinite),
+    (("bw_elev_deg", "bw_azim_deg"), "must be > 0", lambda v: v > 0.0),
+    (("asd_deg", "zsd_deg"), "must be finite and >= 0", lambda v: math.isfinite(v) and v >= 0.0),
+    (("n_elements",), "must be an integer", _is_int),
+    (("n_elements",), "must be >= 1", lambda v: v >= 1),
+    (("rows", "cols"), "must be an integer", _is_int),
+    (("rows", "cols"), "must be >= 1", lambda v: v >= 1),
+)
+
+
 class Scenario(Value):
     """One experiment setup: element, spreads, and optional constraints.
 
     Exactly one element description must be present: either
     element_gain_dbi (symmetric beamwidths derived from it) or both
     bw_elev_deg and bw_azim_deg.  rows/cols pin a geometry for commands
-    that evaluate rather than optimize.
+    that evaluate rather than optimize.  Every number is range-checked
+    from ``_RANGES``: counts are ints >= 1, spreads finite and >= 0,
+    beamwidths finite and > 0, and the other figures finite.
     """
 
     __slots__ = tuple(_KEYS)
@@ -112,32 +133,13 @@ class Scenario(Value):
                 "element description missing: set element_gain_dbi or both "
                 "bw_elev_deg and bw_azim_deg"
             )
-        for name in (
-            "element_gain_dbi",
-            "bw_elev_deg",
-            "bw_azim_deg",
-            "eirp_dbm",
-            "per_element_power_dbm",
-        ):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ScenarioError(f"{name} must be finite, got {value!r}")
-        for name in ("bw_elev_deg", "bw_azim_deg"):
-            value = getattr(self, name)
-            if value is not None and value <= 0.0:
-                raise ScenarioError(f"{name} must be > 0, got {value!r}")
-        for name in ("asd_deg", "zsd_deg"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ScenarioError(f"{name} must be finite and >= 0, got {value!r}")
-        if self.n_elements is not None and self.n_elements < 1:
-            raise ScenarioError(f"n_elements must be >= 1, got {self.n_elements!r}")
-        if (self.rows is None) != (self.cols is None):
-            raise ScenarioError("rows and cols must be given together")
-        for name in ("rows", "cols"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ScenarioError(f"{name} must be >= 1, got {value!r}")
+        for keys, words, test in _RANGES:
+            if keys == ("rows", "cols") and (self.rows is None) != (self.cols is None):
+                raise ScenarioError("rows and cols must be given together")
+            for key in keys:
+                value = getattr(self, key)
+                if value is not None and not test(value):
+                    raise ScenarioError(f"{key} {words}, got {value!r}")
         if self.allowed_geometries == ():
             raise ScenarioError("allowed_geometries is empty")
 
@@ -166,32 +168,28 @@ class Scenario(Value):
         return linear_to_db(self.element().gain_linear)
 
     def budget(self) -> int:
-        """Element budget: n_elements, the EIRP cap, or their minimum.
+        """Element budget: the smallest of n_elements and the EIRP cap, as given.
 
         Raises
         ------
         ScenarioError
-            If neither constraint is available.
+            If eirp_dbm lacks per_element_power_dbm, or neither is given.
         """
-        cap = None
+        limits = [] if self.n_elements is None else [self.n_elements]
         if self.eirp_dbm is not None:
             if self.per_element_power_dbm is None:
                 raise ScenarioError("eirp_dbm needs per_element_power_dbm to cap the array")
             # only an EIRP cap needs optimize: estimate and validate never load it
             from .optimize import max_elements_for_eirp
 
-            cap = max_elements_for_eirp(
+            limits.append(max_elements_for_eirp(
                 self.eirp_dbm, self.per_element_power_dbm, self.element_gain_dbi_value()
+            ))
+        if not limits:
+            raise ScenarioError(
+                "no element budget: set n_elements or eirp_dbm with per_element_power_dbm"
             )
-        if self.n_elements is not None and cap is not None:
-            return min(self.n_elements, cap)
-        if self.n_elements is not None:
-            return self.n_elements
-        if cap is not None:
-            return cap
-        raise ScenarioError(
-            "no element budget: set n_elements or eirp_dbm with per_element_power_dbm"
-        )
+        return min(limits)
 
 
 def read_scenario_values(path: str) -> dict:

@@ -90,9 +90,9 @@ def test_spread_rejects_negative_or_nonfinite():
 
 def test_gain_report_orderings_enforced():
     with pytest.raises(ValueError, match="exceeds nominal"):
-        GainReport.from_linear(nominal=10.0, effective=11.0, bound=20.0)
+        GainReport(10.0, 11.0, 20.0)
     with pytest.raises(ValueError, match="exceeds the upper bound"):
-        GainReport.from_linear(nominal=20.0, effective=11.0, bound=10.0)
+        GainReport(20.0, 11.0, 10.0)
 
 
 @pytest.mark.parametrize(
@@ -114,19 +114,10 @@ def test_gain_report_orderings_enforced():
         ),
         (
             GainReport,
-            {
-                "nominal_gain_linear": 10.0, "effective_gain_linear": 2.0,
-                "upper_bound_linear": 4.0, "nominal_gain_dbi": 10.0,
-                "effective_gain_dbi": 3.0, "upper_bound_dbi": 6.0,
-            },
+            {"nominal_gain_linear": 10.0, "effective_gain_linear": 2.0, "upper_bound_linear": 4.0},
             "GainReport(nominal_gain_linear=10.0, effective_gain_linear=2.0, "
-            "upper_bound_linear=4.0, nominal_gain_dbi=10.0, effective_gain_dbi=3.0, "
-            "upper_bound_dbi=6.0)",
-            {
-                "nominal_gain_linear": 1.0, "effective_gain_linear": 2.0,
-                "upper_bound_linear": 4.0, "nominal_gain_dbi": 0.0,
-                "effective_gain_dbi": 3.0, "upper_bound_dbi": 6.0,
-            },
+            "upper_bound_linear=4.0)",
+            {"nominal_gain_linear": 1.0, "effective_gain_linear": 2.0, "upper_bound_linear": 4.0},
             "effective gain exceeds nominal gain",
         ),
     ],
@@ -319,6 +310,28 @@ def test_report_matches_reference_composition_bit_for_bit():
             report.upper_bound_linear,
         )
         assert got == _reference_gains(element, geom, spread)
+
+
+def test_report_dbi_properties_match_linear_to_db_bit_for_bit():
+    # each dBi property is linear_to_db of its linear field, and the effective
+    # one is linear_to_db(effective_gain_value(...)), to the last bit
+    rng = np.random.default_rng(43)
+    for _ in range(400):
+        element = ElementPattern(float(rng.uniform(0.01, 2.0)), float(rng.uniform(0.01, 2.0)))
+        geom = ArrayGeometry(int(rng.integers(1, 200)), int(rng.integers(1, 200)))
+        zsd, asd = (
+            0.0 if rng.random() < 0.2 else float(rng.uniform(1e-4, 0.6)) for _ in range(2)
+        )
+        spread = AngularSpread(zsd_rad=zsd, asd_rad=asd)
+        report = effective_gain(element, geom, spread)
+        for dbi, linear in (
+            (report.nominal_gain_dbi, report.nominal_gain_linear),
+            (report.effective_gain_dbi, report.effective_gain_linear),
+            (report.upper_bound_dbi, report.upper_bound_linear),
+        ):
+            assert dbi.hex() == linear_to_db(linear).hex()
+        want = linear_to_db(effective_gain_value(element, geom.rows, geom.cols, spread))
+        assert report.effective_gain_dbi.hex() == want.hex()
 
 
 def test_row_gains_match_the_scalar_gain_bit_for_bit():

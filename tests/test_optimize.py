@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -39,7 +40,6 @@ from arraygain import (
     effective_gain,
     effective_gain_value,
     element_pattern_from_gain,
-    gain_upper_bound,
     max_elements_for_eirp,
     optimal_geometry_continuous,
     optimal_geometry_integer,
@@ -64,14 +64,14 @@ def _exhaustive_best(n, element, spread, cols_range=None):
 
 def test_bound_collapses_to_nominal_at_zero_spread():
     element = element_pattern_from_gain(5.0)
-    bound = gain_upper_bound(256, element, AngularSpread(0.0, 0.0))
+    bound = optimal_geometry_integer(256, element, AngularSpread(0.0, 0.0)).bound_gain_linear
     assert bound == pytest.approx(256 * element.gain_linear, rel=1e-12)
 
 
 def test_no_feasible_geometry_beats_bound(spread_deg):
     element = element_pattern_from_gain(5.0)
     spread = spread_deg(5.0, 22.0)
-    bound = gain_upper_bound(256, element, spread)
+    bound = optimal_geometry_integer(256, element, spread).bound_gain_linear
     for cols in range(1, 257):
         for rows in range(1, 256 // cols + 1):
             gain = effective_gain_value(element, rows, cols, spread)
@@ -81,12 +81,23 @@ def test_no_feasible_geometry_beats_bound(spread_deg):
 def test_bound_with_single_element(spread_deg):
     element = element_pattern_from_gain(5.0)
     spread = spread_deg(3.0, 3.0)
-    bound = gain_upper_bound(1, element, spread)
+    report = effective_gain(element, ArrayGeometry(1, 1), spread)
     single = effective_gain_value(element, 1, 1, spread)
-    assert single <= bound * (1 + 1e-12)
+    assert single <= report.upper_bound_linear * (1 + 1e-12)
+    assert optimal_geometry_integer(1, element, spread).bound_gain_linear == report.upper_bound_linear
 
-    with pytest.raises(ValueError):
-        gain_upper_bound(0, element, spread)
+    with pytest.raises(ValueError, match="n_elements must be a positive integer, got 0"):
+        optimal_geometry_integer(0, element, spread)
+
+
+@pytest.mark.parametrize("budget", [math.nan, 2.5, 256.0, True])
+def test_budget_must_be_an_integer(budget, spread_deg):
+    # 2.5 and 256.0 used to fail inside range(), nan as a degenerate spread
+    element = element_pattern_from_gain(5.0)
+    message = f"n_elements must be a positive integer, got {budget!r}"
+    for optimize in (optimal_geometry_integer, optimal_geometry_continuous):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            optimize(budget, element, spread_deg(5.0, 22.0))
 
 
 # --- continuous optimum -------------------------------------------------
@@ -141,7 +152,8 @@ def test_continuous_attains_bound():
         )
         opt = optimal_geometry_continuous(n, element, spread)
         at_opt = effective_gain_value(element, opt.rows_real, opt.cols_real, spread)
-        assert at_opt == pytest.approx(gain_upper_bound(n, element, spread), rel=1e-9)
+        bound = optimal_geometry_integer(n, element, spread).bound_gain_linear
+        assert at_opt == pytest.approx(bound, rel=1e-9)
 
 
 def test_continuous_invariant_under_common_spread_scaling(spread_deg):
@@ -349,7 +361,7 @@ def test_integer_large_budget_is_a_local_optimum_under_the_bound(spread_deg):
     gain = result.integer_gain.effective_gain_linear
     for neighbour in (cols - 1, cols + 1):
         assert gain >= effective_gain_value(element, n // neighbour, neighbour, spread)
-    assert gain <= gain_upper_bound(n, element, spread)
+    assert gain <= result.bound_gain_linear
 
 
 def test_cli_optimize_billion_element_budget_is_fast():

@@ -160,6 +160,16 @@ def test_scenario_budget_logic():
         Scenario(element_gain_dbi=5.0).budget()
 
 
+@pytest.mark.parametrize("count", [math.nan, 2.5, 256.0, True])
+@pytest.mark.parametrize("key", ["n_elements", "rows", "cols"])
+def test_scenario_counts_must_be_integers(key, count):
+    # a float or bool count used to pass, and budget() handed it on as is
+    others = {"n_elements": {}, "rows": {"cols": 4}, "cols": {"rows": 4}}[key]
+    with pytest.raises(ScenarioError) as caught:
+        Scenario(element_gain_dbi=5.0, **others, **{key: count})
+    assert str(caught.value) == f"{key} must be an integer, got {count!r}"
+
+
 # --- scenario files -----------------------------------------------------
 
 def test_scenario_file_round_trip(tmp_path):
