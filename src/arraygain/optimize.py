@@ -9,13 +9,14 @@ with equality exactly when the nominal beam matches the channel,
 bw_azim0 / bw_elev0 = asd / zsd.  That gives a closed-form real-valued
 optimum (rows grow with the azimuth spread: widening in azimuth is
 inevitable, so elements are better spent narrowing elevation) plus a
-gain ceiling no geometry can beat, 2 / (asd * zsd + bw_elev * bw_azim / N):
+gain ceiling no geometry can beat, 2 / (asd * zsd + bw_elev * bw_azim / N),
+which is N times the element gain at zero spread.  Results carry it as
 :attr:`OptimizationResult.bound_gain_linear` at the budget, and
 :attr:`arraygain.beam.GainReport.upper_bound_linear` for one geometry.
-At zero spread it is N times the element gain.  The integer winner is the tallest
-geometry rows = N // cols whose gain is within 1e-12 of the best over cols
-1..N, a property of the set of gains; a walk over runs of equal rows out
-from the closed-form cols finds it, zero spread too.
+The integer winner is the tallest geometry rows = N // cols whose gain is
+within 1e-12 of the best over cols 1..N, a property of the set of gains;
+a walk over runs of equal rows out from the closed-form cols finds it,
+zero spread too.
 
 EIRP sizing inverts the regulatory cap EIRP = P_t + G_e + 20 log10(n)
 for the largest compliant element count.
