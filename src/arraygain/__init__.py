@@ -62,7 +62,6 @@ _HOMES = {
     "McConfig": "oracle",
     "SampledPattern": "oracle",
     "convolve_effective_pattern": "oracle",
-    "fitted_rms_widths": "oracle",
     "gaussian_pattern_sampled": "oracle",
     "grid_for": "oracle",
     "monte_carlo_effective_gain": "oracle",

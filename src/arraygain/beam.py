@@ -8,8 +8,8 @@ A single beam is modeled as a separable Gaussian power pattern
 
 whose peak, the directional gain, is the peak-to-average power ratio
 2 / (bw_azim * bw_elev).  :class:`ElementPattern` holds the two RMS
-widths of any such beam: an element's, an array's nominal beam, or a
-beam fitted to a sampled pattern.  A rows x cols planar array of
+widths of any such beam: one element's, or the nominal beam of a whole
+array.  A rows x cols planar array of
 identical elements at half-wavelength spacing narrows each element
 beamwidth by the element count along that axis.  Multipath angular
 spread convolves the pattern with the channel's own Gaussian spectrum,
@@ -45,10 +45,9 @@ _NORMAL = sys.float_info.min
 class ElementPattern(Value):
     """RMS beamwidths of a Gaussian beam, radians.
 
-    The beam may be one array element's, a whole array's nominal beam
-    (:func:`nominal_beamwidths`) or one fitted to a sampled pattern
-    (:func:`arraygain.oracle.fitted_rms_widths`).  Widths whose gain
-    2 / (bw_elev * bw_azim) is not a normal float raise
+    The beam may be one array element's or a whole array's nominal beam
+    (:func:`nominal_beamwidths`).  Widths whose gain 2 / (bw_elev * bw_azim)
+    is not a normal float raise
     :class:`DegenerateElementError`, like widths that are not > 0.
 
     Attributes

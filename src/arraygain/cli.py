@@ -66,15 +66,11 @@ def _add_element_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_spread_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--asd-deg", type=float, metavar="DEG", help="azimuth RMS spread")
-    parser.add_argument("--zsd-deg", type=float, metavar="DEG", help="elevation RMS spread")
-
-
 def _add_scenario_flags(parser: argparse.ArgumentParser, budget: bool, geometry: bool) -> None:
     parser.add_argument("--scenario", metavar="PATH", help="scenario file; flags override it")
     _add_element_flags(parser)
-    _add_spread_flags(parser)
+    parser.add_argument("--asd-deg", type=float, metavar="DEG", help="azimuth RMS spread")
+    parser.add_argument("--zsd-deg", type=float, metavar="DEG", help="elevation RMS spread")
     if budget:
         parser.add_argument(
             "--elements", type=int, dest="n_elements", metavar="N", help="element budget"

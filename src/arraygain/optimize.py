@@ -59,10 +59,6 @@ class ContinuousGeometry(Value):
         setfield(self, "rows_real", rows_real)
         setfield(self, "cols_real", cols_real)
 
-    @property
-    def n_elements(self) -> float:
-        return self.rows_real * self.cols_real
-
 
 class OptimizationResult(Value):
     """Scan winner with its gain report, the budget-level bound, and the
@@ -234,7 +230,6 @@ def optimal_geometry_integer(
         Without ``allowed_geometries``, if the spread ratio puts the
         closed form, where the walk starts, beyond float range.
     """
-    _check_budget(n_elements, element, spread)
     continuous = None
     if spread.asd_rad > 0.0 and spread.zsd_rad > 0.0:
         try:
@@ -243,6 +238,8 @@ def optimal_geometry_integer(
             # the walk starts from the closed form; a list needs none
             if allowed_geometries is None:
                 raise
+    else:  # the closed form runs this same check first
+        _check_budget(n_elements, element, spread)
     if allowed_geometries is not None:
         if not allowed_geometries:
             raise ValueError("allowed_geometries is empty")

@@ -167,13 +167,6 @@ class SampledPattern(Value):
         setfield(self, "elev_shape", elev_shape)
         setfield(self, "azim_shape", azim_shape)
 
-    @property
-    def total_power(self) -> float:
-        """Integral of the pattern over the grid (ideally 4 pi)."""
-        elev_integral = self.elev_shape.sum() * self.grid.elev_spacing
-        azim_integral = self.azim_shape.sum() * self.grid.azim_spacing
-        return self.peak_power * elev_integral * azim_integral
-
 
 def gaussian_pattern_sampled(
     bw_elev_rad: float, bw_azim_rad: float, grid: AngularGrid
@@ -265,22 +258,6 @@ def convolve_effective_pattern(nominal: SampledPattern, spread: AngularSpread) -
     )
 
 
-def fitted_rms_widths(pattern: SampledPattern) -> ElementPattern:
-    """RMS widths of a sampled pattern from its weighted second moments.
-
-    For a Gaussian profile this recovers the sigma parameter, so on a
-    convolved pattern it checks variance additivity directly.
-    """
-    elev_x = pattern.grid.elev_samples()
-    azim_x = pattern.grid.azim_samples()
-    elev_w = pattern.elev_shape
-    azim_w = pattern.azim_shape
-    return ElementPattern(
-        bw_elev_rad=math.sqrt(float((elev_w * elev_x**2).sum() / elev_w.sum())),
-        bw_azim_rad=math.sqrt(float((azim_w * azim_x**2).sum() / azim_w.sum())),
-    )
-
-
 # Draws per variate in one chunk: memory is O(chunk) whatever the
 # realization count, and a run of at most this many draws is one chunk.
 _MC_CHUNK_DRAWS = 2**18
@@ -288,8 +265,8 @@ _MC_CHUNK_DRAWS = 2**18
 
 class McConfig(Value):
     """Monte-Carlo run shape: paths per realization (at most one chunk,
-    2**18), realization count, and the 64-bit seed that makes the run
-    reproducible."""
+    2**18), realization count (at least 2, so a standard error exists),
+    and the 64-bit seed that makes the run reproducible."""
 
     __slots__ = ("n_paths", "n_realizations", "seed")
 
@@ -302,6 +279,8 @@ class McConfig(Value):
                 f"n_paths must be at most {_MC_CHUNK_DRAWS} (one Monte-Carlo chunk), "
                 f"got {n_paths}"
             )
+        if n_realizations < 2:
+            raise ValueError(f"n_realizations must be at least 2, got {n_realizations}")
         if not isinstance(seed, int) or isinstance(seed, bool) or not (0 <= seed < 2**64):
             raise ValueError(f"seed must be a 64-bit non-negative integer, got {seed!r}")
         setfield(self, "n_paths", n_paths)
@@ -495,36 +474,42 @@ def _array_factor_power(k: int, u: np.ndarray) -> np.ndarray:
     return power
 
 
-def upa_array_factor_beamwidth(k_elements_along_axis: int, n_samples: int = 200_001) -> float:
+# samples of u over [-1, 1], odd so u = 0 is one; past _AF_MAX_K the first
+# null 2 / k lies fewer than 16 samples from the peak, the main lobe falls
+# between samples and its measured width drifts off 1/k
+_AF_SAMPLES = 200_001
+_AF_MAX_K = (_AF_SAMPLES - 1) // 16
+
+
+def upa_array_factor_beamwidth(k_elements_along_axis: int) -> float:
     """Main-lobe width ratio of a k-element half-wavelength ULA vs one element.
 
     Evaluates the physical broadside array factor
     |sum_{m=0}^{k-1} exp(j pi m u)|^2 / k^2, in its closed form
-    sin^2(k pi u / 2) / (k^2 sin^2(pi u / 2)), on a fine grid of
+    sin^2(k pi u / 2) / (k^2 sin^2(pi u / 2)), on 200,001 samples of
     u = sin(theta) over [-1, 1], measures the main lobe's
     area-equivalent RMS width, and divides by the same measurement for a
     single element.  The Gaussian model's claim is that this ratio is
     1/k; the Dirichlet-kernel lobe is not Gaussian, so agreement is
-    approximate by nature.
+    approximate by nature: k times the ratio tends to sqrt(pi) / 2.
 
     Parameters
     ----------
     k_elements_along_axis : int
-        Elements along the axis, >= 1.
-    n_samples : int
-        Grid resolution; forced odd so u = 0 is a sample.
+        Elements along the axis, 1 to 12,500; a larger k raises
+        GridResolutionError, its main lobe too narrow for the grid.
     """
     check_positive_int("k_elements_along_axis", k_elements_along_axis)
     k = k_elements_along_axis
-    if n_samples < 1001:
-        raise ValueError(f"n_samples must be >= 1001, got {n_samples!r}")
-    if n_samples % 2 == 0:
-        n_samples += 1
     if k == 1:
         return 1.0
-    u = np.linspace(-1.0, 1.0, n_samples)
+    if k > _AF_MAX_K:
+        raise GridResolutionError(
+            f"grid too coarse: k_elements_along_axis must be at most {_AF_MAX_K}, got {k}"
+        )
+    u = np.linspace(-1.0, 1.0, _AF_SAMPLES)
     du = u[1] - u[0]
     # one element's pattern is flat, so its lobe is the whole grid and
     # _main_lobe_width reduces to this
-    single = n_samples * du / math.sqrt(2.0 * math.pi)
+    single = _AF_SAMPLES * du / math.sqrt(2.0 * math.pi)
     return _main_lobe_width(_array_factor_power(k, u), du) / single

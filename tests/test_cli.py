@@ -930,6 +930,17 @@ def test_validate_paths_past_one_chunk_is_a_typed_error():
     )
 
 
+def test_validate_one_realization_is_a_typed_error():
+    # one realization has no standard error, so no verdict can be printed
+    result = _run(
+        "validate", "--element-gain-dbi", "5", "--rows", "1", "--cols", "1",
+        "--asd-deg", "1", "--realizations", "1",
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "error[input]: n_realizations must be at least 2, got 1\n"
+
+
 def test_validate_requires_geometry():
     result = _run("validate", "--element-gain-dbi", "5")
     assert result.returncode == 1

@@ -45,6 +45,7 @@ from arraygain import (
     optimal_geometry_integer,
 )
 from arraygain import cli
+from arraygain import optimize as optimize_module
 from arraygain.optimize import _row_runs
 
 
@@ -131,7 +132,7 @@ def test_continuous_product_and_matching_condition():
             zsd_rad=float(rng.uniform(1e-4, 0.5)), asd_rad=float(rng.uniform(1e-4, 0.5))
         )
         result = optimal_geometry_continuous(n, element, spread)
-        assert result.n_elements == pytest.approx(n, rel=1e-9)
+        assert result.rows_real * result.cols_real == pytest.approx(n, rel=1e-9)
         bw_elev0 = element.bw_elev_rad / result.rows_real
         bw_azim0 = element.bw_azim_rad / result.cols_real
         assert bw_azim0 / bw_elev0 == pytest.approx(
@@ -446,6 +447,37 @@ def test_integer_scan_refuses_budgets_past_1e12(spread_deg):
     allowed = [ArrayGeometry(10**7, 10**6)]
     assert optimal_geometry_integer(10**13, element, spread, allowed).integer_best == allowed[0]
     assert optimal_geometry_integer(10**13, element, spread_deg(0.0, 0.0)).integer_best == ArrayGeometry(10**13, 1)
+
+
+def test_integer_scan_checks_the_budget_once(monkeypatch, spread_deg):
+    # the closed form checks it for both spreads > 0, every other path itself
+    calls = []
+    check = optimize_module._check_budget
+
+    def counted(*args):
+        calls.append(args)
+        check(*args)
+
+    monkeypatch.setattr(optimize_module, "_check_budget", counted)
+    element = element_pattern_from_gain(5.0)
+    allowed = [ArrayGeometry(32, 8), ArrayGeometry(16, 16)]
+    for spread, restriction in (
+        (spread_deg(5.0, 22.0), None),
+        (spread_deg(0.0, 22.0), None),
+        (spread_deg(5.0, 0.0), None),
+        (spread_deg(0.0, 0.0), None),
+        (spread_deg(5.0, 22.0), allowed),
+        (spread_deg(0.0, 0.0), allowed),
+        # a ratio that puts the closed form beyond float range
+        (AngularSpread(zsd_rad=1e300, asd_rad=1e-320), allowed),
+    ):
+        calls.clear()
+        optimal_geometry_integer(256, element, spread, restriction)
+        assert calls == [(256, element, spread)]
+    # a bad budget is still the first error, ahead of the spread's and the list's
+    for spread in (AngularSpread(zsd_rad=1e300, asd_rad=1e-320), spread_deg(0.0, 0.0)):
+        with pytest.raises(ValueError, match="n_elements must be a positive integer, got 0"):
+            optimal_geometry_integer(0, element, spread, [ArrayGeometry(8, 4)])
 
 
 def test_cli_sweep_streams_rows(tmp_path):

@@ -25,7 +25,6 @@ from arraygain import (
     convolve_effective_pattern,
     effective_gain,
     element_pattern_from_gain,
-    fitted_rms_widths,
     gaussian_pattern_sampled,
     grid_for,
     monte_carlo_effective_gain,
@@ -234,11 +233,30 @@ def test_gaussian_pattern_peak_scales_exactly():
     assert double.peak_power == single.peak_power / 4.0
 
 
+def _total_power(pattern):
+    # integral of the pattern over the grid (ideally 4 pi), no cos weight
+    elev_integral = pattern.elev_shape.sum() * pattern.grid.elev_spacing
+    azim_integral = pattern.azim_shape.sum() * pattern.grid.azim_spacing
+    return pattern.peak_power * elev_integral * azim_integral
+
+
+def _rms_widths(pattern):
+    # (elev, azim) RMS widths from each profile's weighted second moment:
+    # a Gaussian profile gives back its sigma
+    return tuple(
+        math.sqrt(float((w * x**2).sum() / w.sum()))
+        for x, w in (
+            (pattern.grid.elev_samples(), pattern.elev_shape),
+            (pattern.grid.azim_samples(), pattern.azim_shape),
+        )
+    )
+
+
 def test_gaussian_pattern_total_power_is_4pi():
     for bw_deg in (2.0, 10.0, 30.0):
         bw = bw_deg * DEG
         pattern = gaussian_pattern_sampled(bw, bw, grid_for(bw, bw))
-        assert pattern.total_power == pytest.approx(4 * math.pi, rel=1e-6)
+        assert _total_power(pattern) == pytest.approx(4 * math.pi, rel=1e-6)
 
 
 def test_gaussian_pattern_marginals():
@@ -260,9 +278,9 @@ def test_gaussian_pattern_rejects_coarse_grid():
 def test_fitted_rms_widths_recover_the_gaussian():
     bw_elev, bw_azim = 4 * DEG, 9 * DEG
     pattern = gaussian_pattern_sampled(bw_elev, bw_azim, grid_for(bw_elev, bw_azim))
-    fitted = fitted_rms_widths(pattern)
-    assert fitted.bw_elev_rad == pytest.approx(bw_elev, rel=1e-3)
-    assert fitted.bw_azim_rad == pytest.approx(bw_azim, rel=1e-3)
+    fitted_elev, fitted_azim = _rms_widths(pattern)
+    assert fitted_elev == pytest.approx(bw_elev, rel=1e-3)
+    assert fitted_azim == pytest.approx(bw_azim, rel=1e-3)
 
 
 # --- convolution oracle -------------------------------------------------
@@ -278,9 +296,9 @@ def test_convolution_three_four_five():
     grid = grid_for(3 * DEG, 4 * DEG, spread)
     nominal = gaussian_pattern_sampled(3 * DEG, 4 * DEG, grid)
     effective = convolve_effective_pattern(nominal, spread)
-    fitted = fitted_rms_widths(effective)
-    assert fitted.bw_elev_rad == pytest.approx(5 * DEG, rel=1e-2)
-    assert fitted.bw_azim_rad == pytest.approx(5 * DEG, rel=1e-2)
+    fitted_elev, fitted_azim = _rms_widths(effective)
+    assert fitted_elev == pytest.approx(5 * DEG, rel=1e-2)
+    assert fitted_azim == pytest.approx(5 * DEG, rel=1e-2)
 
 
 def test_convolution_variance_additivity():
@@ -296,13 +314,9 @@ def test_convolution_variance_additivity():
         effective = convolve_effective_pattern(
             gaussian_pattern_sampled(bw_elev, bw_azim, grid), spread
         )
-        fitted = fitted_rms_widths(effective)
-        assert fitted.bw_elev_rad == pytest.approx(
-            math.hypot(bw_elev, spread.zsd_rad), rel=2e-2
-        )
-        assert fitted.bw_azim_rad == pytest.approx(
-            math.hypot(bw_azim, spread.asd_rad), rel=2e-2
-        )
+        fitted_elev, fitted_azim = _rms_widths(effective)
+        assert fitted_elev == pytest.approx(math.hypot(bw_elev, spread.zsd_rad), rel=2e-2)
+        assert fitted_azim == pytest.approx(math.hypot(bw_azim, spread.asd_rad), rel=2e-2)
 
 
 def test_convolution_conserves_energy():
@@ -310,7 +324,7 @@ def test_convolution_conserves_energy():
     grid = grid_for(5 * DEG, 5 * DEG, spread)
     nominal = gaussian_pattern_sampled(5 * DEG, 5 * DEG, grid)
     effective = convolve_effective_pattern(nominal, spread)
-    assert effective.total_power == pytest.approx(nominal.total_power, rel=1e-9)
+    assert _total_power(effective) == pytest.approx(_total_power(nominal), rel=1e-9)
 
 
 def test_convolution_matches_closed_form_reference():
@@ -541,6 +555,9 @@ def test_mc_config_validation():
         McConfig(n_paths=0)
     with pytest.raises(ValueError):
         McConfig(n_realizations=True)
+    # one realization has no standard error
+    with pytest.raises(ValueError, match="^n_realizations must be at least 2, got 1$"):
+        McConfig(n_realizations=1)
     with pytest.raises(ValueError):
         McConfig(seed=-1)
     with pytest.raises(ValueError):
@@ -549,7 +566,7 @@ def test_mc_config_validation():
 
 def test_mc_config_paths_fit_one_chunk():
     # a chunk holds whole realizations, so one realization is at most a chunk
-    assert McConfig(n_paths=2**18, n_realizations=1).n_paths == 2**18
+    assert McConfig(n_paths=2**18, n_realizations=2).n_paths == 2**18
     with pytest.raises(ValueError, match="n_paths must be at most 262144"):
         McConfig(n_paths=2**18 + 1, n_realizations=1)
 
@@ -575,15 +592,22 @@ def _summed_power(k, u):
 
 
 def test_array_factor_matches_summed_form():
-    n_samples = 20_001
-    u = np.linspace(-1.0, 1.0, n_samples)
+    u = np.linspace(-1.0, 1.0, 20_001)
     du = u[1] - u[0]
-    single = _main_lobe_width(_summed_power(1, u), du)
     for k in range(2, 65):
         summed = _summed_power(k, u)
-        np.testing.assert_allclose(_array_factor_power(k, u), summed, rtol=0.0, atol=1e-12)
-        assert upa_array_factor_beamwidth(k, n_samples) == pytest.approx(
-            _main_lobe_width(summed, du) / single, rel=1e-12
+        closed = _array_factor_power(k, u)
+        np.testing.assert_allclose(closed, summed, rtol=0.0, atol=1e-12)
+        assert _main_lobe_width(closed, du) == pytest.approx(
+            _main_lobe_width(summed, du), rel=1e-12
+        )
+    # the public function on its own 200,001 samples
+    u = np.linspace(-1.0, 1.0, 200_001)
+    du = u[1] - u[0]
+    single = _main_lobe_width(_summed_power(1, u), du)
+    for k in (2, 7, 32, 64):
+        assert upa_array_factor_beamwidth(k) == pytest.approx(
+            _main_lobe_width(_summed_power(k, u), du) / single, rel=1e-12
         )
 
 
@@ -592,12 +616,15 @@ def test_array_factor_input_validation():
         upa_array_factor_beamwidth(0)
     with pytest.raises(ValueError):
         upa_array_factor_beamwidth(2.0)
-    with pytest.raises(ValueError):
-        upa_array_factor_beamwidth(4, n_samples=100)
 
 
-def test_array_factor_accepts_even_sample_count():
-    # even counts are widened to the next odd so u = 0 stays on the grid
-    even = upa_array_factor_beamwidth(4, n_samples=20_000)
-    odd = upa_array_factor_beamwidth(4, n_samples=20_001)
-    assert even == odd
+def test_array_factor_refuses_a_lobe_narrower_than_the_grid():
+    # up to k = 12,500 the first null 2 / k is at least 16 samples out, and
+    # k times the ratio stays near its limit sqrt(pi) / 2; past it the lobe
+    # falls between samples and the measured width is meaningless
+    assert 12_500 * upa_array_factor_beamwidth(12_500) == pytest.approx(
+        math.sqrt(math.pi) / 2.0, rel=0.01
+    )
+    for k in (12_501, 10**6):
+        with pytest.raises(GridResolutionError, match="at most 12500, got %d" % k):
+            upa_array_factor_beamwidth(k)
