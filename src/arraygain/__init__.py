@@ -41,16 +41,12 @@ _HOMES = {
     "DegenerateSpreadError": "errors",
     "EirpTooLowError": "errors",
     "GridResolutionError": "errors",
-    "IndeterminatePairError": "errors",
-    "InvalidPairError": "errors",
     "MeasurementError": "errors",
     "ScenarioError": "errors",
     "UnidentifiableSpreadError": "errors",
     "SpreadEstimate": "estimate",
     "SubArrayGain": "estimate",
-    "estimate_asd_sq_pair": "estimate",
     "estimate_ls": "estimate",
-    "estimate_zsd_sq_pair": "estimate",
     "predict_subarray_gain": "estimate",
     "relative_gains_from_power": "estimate",
     "ContinuousGeometry": "optimize",

@@ -45,18 +45,6 @@ class EirpTooLowError(ArrayGainError):
     code = "eirp"
 
 
-class InvalidPairError(ArrayGainError):
-    """Measurement pair does not share the required axis."""
-
-    code = "pair"
-
-
-class IndeterminatePairError(ArrayGainError):
-    """Measurement pair with equal gains; the estimator denominator vanishes."""
-
-    code = "pair"
-
-
 class UnidentifiableSpreadError(ArrayGainError):
     """No usable measurement pair for an axis."""
 

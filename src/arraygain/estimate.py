@@ -28,8 +28,7 @@ from __future__ import annotations
 import math
 
 from .beam import AngularSpread, ElementPattern, _check_budget, effective_gain_value
-from .errors import IndeterminatePairError, InvalidPairError, UnidentifiableSpreadError
-from .errors import check_positive_float, check_positive_int
+from .errors import UnidentifiableSpreadError, check_positive_float, check_positive_int
 from .value import Value, setfield
 
 _RATIO_TOL = 1e-12
@@ -74,8 +73,8 @@ class SpreadEstimate(Value):
         zsd_over_bve_sq: float,
         n_pairs_asd: int,
         n_pairs_zsd: int,
-        n_skipped_asd: int = 0,
-        n_skipped_zsd: int = 0,
+        n_skipped_asd: int,
+        n_skipped_zsd: int,
     ) -> None:
         if asd_over_bhe_sq < 0.0 or zsd_over_bve_sq < 0.0:
             raise ValueError("spread estimates must be clamped to >= 0")
@@ -94,91 +93,40 @@ class SpreadEstimate(Value):
         )
 
 
-def _point(m: SubArrayGain, axis: str) -> tuple[int, int, SubArrayGain]:
+def _axis_fit(measurements: list[SubArrayGain], axis: str) -> tuple[float, int, int]:
     # (shared count, varying count, measurement): azimuth pairs share rows
     # and vary cols, elevation pairs the transpose
-    return (m.rows, m.cols, m) if axis == "ASD" else (m.cols, m.rows, m)
-
-
-def _pair_coeffs(p, q) -> tuple[float, float] | None:
-    # one linear equation  a * x = b  in the squared normalized spread x,
-    # or None unless the two points share one count and differ in the
-    # other; the smaller varying count goes first, so the equation is the
-    # same whichever way the caller listed the pair
-    if p[0] != q[0] or p[1] == q[1]:
-        return None
-    (_, count_small, small), (_, count_large, large) = (p, q) if p[1] < q[1] else (q, p)
-    ratio = large.gain_linear / small.gain_linear
-    if ratio * ratio == math.inf:
-        raise ValueError(
-            f"squared gain ratio of {large.rows}x{large.cols} "
-            f"to {small.rows}x{small.cols} overflows"
-        )
-    r = ratio**2
-    a = r - 1.0
-    if abs(a) <= _RATIO_TOL:
-        raise IndeterminatePairError(
-            f"indeterminate pair: equal gains for {p[2].rows}x{p[2].cols} "
-            f"and {q[2].rows}x{q[2].cols}"
-        )
-    try:
-        return a, 1.0 / count_small**2 - r / count_large**2
-    except OverflowError:
-        raise ValueError(f"squared count of {large.rows}x{large.cols} overflows") from None
-
-
-def _pair_estimate(m_a: SubArrayGain, m_b: SubArrayGain, axis: str) -> float:
-    coeffs = _pair_coeffs(_point(m_a, axis), _point(m_b, axis))
-    if coeffs is None:
-        raise InvalidPairError(
-            f"invalid pair: {axis} pair needs ({m_a.rows}x{m_a.cols}, {m_b.rows}x{m_b.cols}) "
-            "to share one axis and differ in the other"
-        )
-    return coeffs[1] / coeffs[0]
-
-
-def estimate_asd_sq_pair(m_a: SubArrayGain, m_b: SubArrayGain) -> float:
-    """Squared normalized azimuth spread from one pair sharing a row count.
-
-    Order-independent and scale-invariant; the raw value may be negative
-    under noise (callers clamp).
-
-    Raises
-    ------
-    InvalidPairError
-        If rows differ or cols coincide.
-    IndeterminatePairError
-        If the gain ratio is 1 within 1e-12 (spread swamps both
-        apertures, the equation degenerates).
-    ValueError
-        If the squared gain ratio overflows.
-    """
-    return _pair_estimate(m_a, m_b, "ASD")
-
-
-def estimate_zsd_sq_pair(m_a: SubArrayGain, m_b: SubArrayGain) -> float:
-    """Elevation mirror of :func:`estimate_asd_sq_pair`: shared cols, rows vary."""
-    return _pair_estimate(m_a, m_b, "ZSD")
-
-
-def _axis_fit(measurements: list[SubArrayGain], axis: str) -> tuple[float, int, int]:
-    points = [_point(m, axis) for m in measurements]
+    points = [(m.rows, m.cols, m) if axis == "ASD" else (m.cols, m.rows, m) for m in measurements]
     coeffs: list[tuple[float, float]] = []
     skipped = 0
     for i, p in enumerate(points):
         for q in points[i + 1 :]:
-            try:
-                pair = _pair_coeffs(p, q)
-            except IndeterminatePairError:
+            if p[0] != q[0] or p[1] == q[1]:
+                continue
+            # one linear equation  a * x = b  per pair; the smaller varying
+            # count goes first, so it is the same whichever way the pair is listed
+            (_, count_small, small), (_, count_large, large) = (p, q) if p[1] < q[1] else (q, p)
+            ratio = large.gain_linear / small.gain_linear
+            if ratio * ratio == math.inf:
+                raise ValueError(
+                    f"squared gain ratio of {large.rows}x{large.cols} "
+                    f"to {small.rows}x{small.cols} overflows"
+                )
+            r = ratio**2
+            a = r - 1.0
+            if abs(a) <= _RATIO_TOL:
+                # equal gains: the spread swamps both apertures
                 skipped += 1
                 continue
-            if pair is not None:
-                coeffs.append(pair)
+            try:
+                coeffs.append((a, 1.0 / count_small**2 - r / count_large**2))
+            except OverflowError:
+                raise ValueError(f"squared count of {large.rows}x{large.cols} overflows") from None
     if not coeffs:
         raise UnidentifiableSpreadError(axis)
     if len(coeffs) == 1:
-        # single equation solved directly so the result is bit-identical
-        # to the corresponding pair estimator
+        # one pair: its equation solved as b / a, since the sums would
+        # divide a * b by a**2, which can differ in the last bit
         a, b = coeffs[0]
         raw = b / a
     else:
@@ -193,11 +141,14 @@ def _axis_fit(measurements: list[SubArrayGain], axis: str) -> tuple[float, int, 
 def estimate_ls(measurements: list[SubArrayGain]) -> SpreadEstimate:
     """Least-squares spread estimate over every usable measurement pair.
 
-    Enumerates all unordered pairs: same rows and differing cols feed
-    the azimuth fit, same cols and differing rows the elevation fit.
-    Each pair contributes one equation a_i * x = b_i; the fit is
-    sum(a_i b_i) / sum(a_i^2), clamped to 0 from below.  Indeterminate
-    pairs are skipped and counted, not fatal.
+    Enumerates all unordered pairs in list order: same rows and differing
+    cols feed the azimuth fit, same cols and differing rows the elevation
+    fit.  Each pair contributes one equation a_i * x = b_i; the fit is
+    sum(a_i b_i) / sum(a_i^2), clamped to 0 from below.  An axis with a
+    single pair, as three measurements such as 4x4, 4x8 and 8x4 give,
+    solves that pair's equation directly: b / a.  A pair of equal gains
+    (ratio 1 within 1e-12) is indeterminate; it is skipped and counted,
+    not fatal.
 
     Parameters
     ----------
@@ -243,12 +194,14 @@ def predict_subarray_gain(
 
     A target equal to the reference returns the reference gain exactly;
     at zero estimated spread this reduces to the aperture product law
-    (m1 * m2) / (n1 * k1).
+    (m1 * m2) / (n1 * k1).  Both geometries are checked as a budget of
+    the larger of their element counts, so every width and gain is a
+    normal float; counts beyond that raise ValueError.
     """
     check_positive_int("target_rows", target_rows)
     check_positive_int("target_cols", target_cols)
     spread = estimate.absolute_spread(_UNIT)
-    _check_budget(target_rows * target_cols, _UNIT, spread)  # every width and gain a normal float
+    _check_budget(max(target_rows * target_cols, reference.rows * reference.cols), _UNIT, spread)
     target = effective_gain_value(_UNIT, target_rows, target_cols, spread)
     return reference.gain_linear * (
         target / effective_gain_value(_UNIT, reference.rows, reference.cols, spread)

@@ -35,9 +35,7 @@ from arraygain import (
     effective_gain,
     effective_gain_value,
     element_pattern_from_gain,
-    estimate_asd_sq_pair,
     estimate_ls,
-    estimate_zsd_sq_pair,
     gaussian_pattern_sampled,
     grid_for,
     max_elements_for_eirp,
@@ -154,6 +152,14 @@ def _forward_measurements(element, zsd_sq, asd_sq, rng=None, noise_scale=0.0):
     return out
 
 
+def _pair_sq(small, large, count_small, count_large):
+    # one pair's equation  a * x = b  solved directly, as estimate_ls solves
+    # an axis with one pair: with r the squared gain ratio, a = r - 1 and
+    # b = 1/count_small**2 - r/count_large**2 in the varying count
+    r = (large.gain_linear / small.gain_linear) ** 2
+    return (1.0 / count_small**2 - r / count_large**2) / (r - 1.0)
+
+
 def test_spread_estimator(capsys):
     element = element_pattern_from_gain(5.0)
 
@@ -184,9 +190,11 @@ def test_spread_estimator(capsys):
         ls_err["asd"].append(estimate.asd_over_bhe_sq - truth_a)
         ls_err["zsd"].append(estimate.zsd_over_bve_sq - truth_z)
         for slot, (i, j) in enumerate(asd_pairs):
-            pair_err["asd"][slot].append(estimate_asd_sq_pair(meas[i], meas[j]) - truth_a)
+            raw = _pair_sq(meas[i], meas[j], meas[i].cols, meas[j].cols)
+            pair_err["asd"][slot].append(raw - truth_a)
         for slot, (i, j) in enumerate(zsd_pairs):
-            pair_err["zsd"][slot].append(estimate_zsd_sq_pair(meas[i], meas[j]) - truth_z)
+            raw = _pair_sq(meas[i], meas[j], meas[i].rows, meas[j].rows)
+            pair_err["zsd"][slot].append(raw - truth_z)
 
     def rmse(errors):
         return math.sqrt(sum(e * e for e in errors) / len(errors))

@@ -820,12 +820,18 @@ _ZERO_SPREAD = ["4,4,0.0,-70.0", "4,8,0.0,-66.98970004336019", "8,4,0.0,-66.9897
         ([f"4,{10**200},0.0,-60.0"], []),
         ([], ["--predict", str(10**400), "1"]),
         ([], ["--predict", str(10**200), str(10**200)]),
+        ([f"{10**400},1,0.0,-70.0"], ["--baseline-index", "3", "--predict", "2", "2"]),
+        ([f"{10**200},{10**200},0.0,-70.0"], ["--baseline-index", "3", "--predict", "2", "2"]),
     ],
-    ids=["csv-cols-squared", "predict-count", "predict-zero-spread-widths"],
+    ids=[
+        "csv-cols-squared", "predict-count", "predict-zero-spread-widths",
+        "baseline-count", "baseline-zero-spread-widths",
+    ],
 )
 def test_estimate_counts_beyond_float_range_fail_with_one_line(tmp_path, middle, predict):
     # each printed error[internal] and exited 2: a squared count and a count
-    # that do not convert to float, and two widths whose product is 0
+    # that do not convert to float, and two widths whose product is 0, of
+    # the target or of the baseline
     csv = tmp_path / "m.csv"
     rows = ["rows,cols,tx_power_dbm,rx_power_dbm", *_ZERO_SPREAD, *middle]
     csv.write_text("\n".join(rows) + "\n")

@@ -1,13 +1,15 @@
 """Spread estimation from sub-array gain measurements.
 
-Exercises the pair equations, the least-squares fit over many pairs,
-forward gain prediction, and relative-gain extraction from raw power
-readings.  Round trips are checked against gains synthesized with the
-forward model, so the estimator is tested end to end.
+Exercises the fit of three measurements, one pair equation per axis,
+the least-squares fit over many pairs, forward gain prediction, and
+relative-gain extraction from raw power readings.  Round trips are
+checked against gains synthesized with the forward model, so the
+estimator is tested end to end.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -17,16 +19,12 @@ from arraygain import (
     AngularSpread,
     ArrayGeometry,
     ElementPattern,
-    IndeterminatePairError,
-    InvalidPairError,
     SpreadEstimate,
     SubArrayGain,
     UnidentifiableSpreadError,
     effective_gain,
     element_pattern_from_gain,
-    estimate_asd_sq_pair,
     estimate_ls,
-    estimate_zsd_sq_pair,
     predict_subarray_gain,
     relative_gains_from_power,
 )
@@ -53,54 +51,59 @@ def _spread_from_normalized(zsd_sq, asd_sq):
     )
 
 
-# --- single-pair estimators ---------------------------------------------
+def _pair_sq(small, large, count_small, count_large):
+    # the pair equation  a * x = b  solved directly: with r the squared gain
+    # ratio, a = r - 1 and b = 1/count_small**2 - r/count_large**2
+    r = (large.gain_linear / small.gain_linear) ** 2
+    return (1.0 / count_small**2 - r / count_large**2) / (r - 1.0)
+
+
+# --- three measurements: one pair per axis ------------------------------
 
 def test_pair_zero_spread_gives_exact_zero():
     spread = AngularSpread(0.0, 0.0)
-    a4 = SubArrayGain(4, 4, _forward_gain(_ELEMENT, 4, 4, spread))
-    a8 = SubArrayGain(4, 8, _forward_gain(_ELEMENT, 4, 8, spread))
-    assert estimate_asd_sq_pair(a4, a8) == 0.0
+    estimate = estimate_ls(_measurements(_ELEMENT, spread, [(4, 4), (4, 8), (8, 4)]))
+    assert estimate.asd_over_bhe_sq == 0.0
+    assert estimate.zsd_over_bve_sq == 0.0
 
 
 def test_pair_round_trip_asd():
     spread = _spread_from_normalized(0.0, 0.01)
-    a4 = SubArrayGain(4, 4, _forward_gain(_ELEMENT, 4, 4, spread))
-    a8 = SubArrayGain(4, 8, _forward_gain(_ELEMENT, 4, 8, spread))
-    assert estimate_asd_sq_pair(a4, a8) == pytest.approx(0.01, rel=1e-12)
+    estimate = estimate_ls(_measurements(_ELEMENT, spread, [(4, 4), (4, 8), (8, 4)]))
+    assert estimate.asd_over_bhe_sq == pytest.approx(0.01, rel=1e-12)
 
 
 def test_pair_round_trip_zsd():
     spread = _spread_from_normalized(0.0025, 0.0)
-    z4 = SubArrayGain(4, 4, _forward_gain(_ELEMENT, 4, 4, spread))
-    z16 = SubArrayGain(16, 4, _forward_gain(_ELEMENT, 16, 4, spread))
-    assert estimate_zsd_sq_pair(z4, z16) == pytest.approx(0.0025, rel=1e-12)
+    estimate = estimate_ls(_measurements(_ELEMENT, spread, [(4, 4), (16, 4), (4, 8)]))
+    assert estimate.zsd_over_bve_sq == pytest.approx(0.0025, rel=1e-12)
 
 
 def test_pair_is_order_independent():
-    spread = _spread_from_normalized(0.0, 0.04)
-    a4 = SubArrayGain(4, 4, _forward_gain(_ELEMENT, 4, 4, spread))
-    a16 = SubArrayGain(4, 16, _forward_gain(_ELEMENT, 4, 16, spread))
-    assert estimate_asd_sq_pair(a4, a16) == estimate_asd_sq_pair(a16, a4)
+    spread = _spread_from_normalized(0.0009, 0.04)
+    meas = _measurements(_ELEMENT, spread, [(4, 4), (4, 16), (16, 4)])
+    estimates = {estimate_ls(list(order)) for order in itertools.permutations(meas)}
+    assert len(estimates) == 1
 
 
 def test_pair_equal_gains_indeterminate():
-    a4 = SubArrayGain(4, 4, 100.0)
-    a8 = SubArrayGain(4, 8, 100.0)
-    with pytest.raises(IndeterminatePairError, match="indeterminate pair"):
-        estimate_asd_sq_pair(a4, a8)
+    # equal gains leave the pair equation 0 * x = b: skipped and counted,
+    # and with no other pair the axis is unidentifiable
+    spread = _spread_from_normalized(0.0025, 0.0)
+    equal = [SubArrayGain(4, 4, 100.0), SubArrayGain(4, 8, 100.0)]
+    rows = _measurements(_ELEMENT, spread, [(8, 4), (16, 4)])
+    with pytest.raises(UnidentifiableSpreadError, match="ASD unidentifiable"):
+        estimate_ls(equal + rows)
+    estimate = estimate_ls(equal + rows + [SubArrayGain(4, 16, 200.0)])
+    assert (estimate.n_pairs_asd, estimate.n_skipped_asd) == (2, 1)
 
 
 def test_pair_shape_mismatch_rejected():
-    spread = _spread_from_normalized(0.0, 0.01)
-    a = SubArrayGain(4, 4, _forward_gain(_ELEMENT, 4, 4, spread))
-    b = SubArrayGain(8, 8, _forward_gain(_ELEMENT, 8, 8, spread))
-    with pytest.raises(InvalidPairError, match="invalid pair"):
-        estimate_asd_sq_pair(a, b)
-    same_cols = SubArrayGain(8, 4, _forward_gain(_ELEMENT, 8, 4, spread))
-    with pytest.raises(InvalidPairError):
-        estimate_asd_sq_pair(a, same_cols)
-    with pytest.raises(InvalidPairError):
-        estimate_zsd_sq_pair(a, b)
+    # 4x4-8x8 and 4x8-8x4 share no count: neither is used nor skipped
+    spread = _spread_from_normalized(0.0009, 0.04)
+    estimate = estimate_ls(_measurements(_ELEMENT, spread, [(4, 4), (8, 8), (4, 8), (8, 4)]))
+    assert (estimate.n_pairs_asd, estimate.n_pairs_zsd) == (2, 2)
+    assert (estimate.n_skipped_asd, estimate.n_skipped_zsd) == (0, 0)
 
 
 def test_subarray_gain_validation():
@@ -121,8 +124,8 @@ def test_ls_single_pair_matches_pair_estimator():
     shapes = [(4, 4), (4, 8), (8, 4)]
     meas = _measurements(_ELEMENT, spread, shapes)
     estimate = estimate_ls(meas)
-    assert estimate.asd_over_bhe_sq == estimate_asd_sq_pair(meas[0], meas[1])
-    assert estimate.zsd_over_bve_sq == estimate_zsd_sq_pair(meas[0], meas[2])
+    assert estimate.asd_over_bhe_sq == _pair_sq(meas[0], meas[1], 4, 8)
+    assert estimate.zsd_over_bve_sq == _pair_sq(meas[0], meas[2], 4, 8)
     assert estimate.n_pairs_asd == 1
     assert estimate.n_pairs_zsd == 1
 
@@ -204,7 +207,10 @@ def test_ls_unidentifiable_axes():
 
 def test_spread_estimate_validation():
     with pytest.raises(ValueError):
-        SpreadEstimate(-1e-3, 0.0, 1, 1)
+        SpreadEstimate(-1e-3, 0.0, 1, 1, 0, 0)
+    # the skipped counts have no default
+    with pytest.raises(TypeError):
+        SpreadEstimate(0.25, 0.5, 3, 1)
 
 
 @pytest.mark.parametrize(
@@ -223,7 +229,10 @@ def test_spread_estimate_validation():
             },
             "SpreadEstimate(asd_over_bhe_sq=0.25, zsd_over_bve_sq=0.5, n_pairs_asd=3, "
             "n_pairs_zsd=1, n_skipped_asd=2, n_skipped_zsd=0)",
-            {"asd_over_bhe_sq": 0.25, "zsd_over_bve_sq": -0.5, "n_pairs_asd": 1, "n_pairs_zsd": 1},
+            {
+                "asd_over_bhe_sq": 0.25, "zsd_over_bve_sq": -0.5, "n_pairs_asd": 1,
+                "n_pairs_zsd": 1, "n_skipped_asd": 0, "n_skipped_zsd": 0,
+            },
             "spread estimates must be clamped to >= 0",
         ),
     ],
@@ -231,13 +240,6 @@ def test_spread_estimate_validation():
 )
 def test_value_types(cls, fields, text, bad, message, check_value_type):
     check_value_type(cls, fields, text, bad, message)
-
-
-def test_spread_estimate_defaults_count_no_skipped_pairs():
-    assert SpreadEstimate(0.25, 0.5, 3, 1) == SpreadEstimate(
-        asd_over_bhe_sq=0.25, zsd_over_bve_sq=0.5, n_pairs_asd=3, n_pairs_zsd=1,
-        n_skipped_asd=0, n_skipped_zsd=0,
-    )
 
 
 # --- prediction ---------------------------------------------------------
@@ -252,7 +254,7 @@ def test_predict_identity_at_reference_shape():
 
 
 def test_predict_aperture_law_at_zero_spread():
-    estimate = SpreadEstimate(0.0, 0.0, 1, 1)
+    estimate = SpreadEstimate(0.0, 0.0, 1, 1, 0, 0)
     ref = SubArrayGain(4, 4, 1.0)
     assert predict_subarray_gain(ref, estimate, 8, 8) == 4.0
 
@@ -282,14 +284,27 @@ def test_predict_matches_the_normalized_formula():
         counts = 2 ** rng.integers(0, 11, size=4)
         rows, cols, target_rows, target_cols = (int(count) for count in counts)
         ref = SubArrayGain(rows, cols, float(10.0 ** rng.uniform(-3.0, 3.0)))
-        estimate = SpreadEstimate(float(a), float(z), 1, 1)
+        estimate = SpreadEstimate(float(a), float(z), 1, 1, 0, 0)
         predicted = predict_subarray_gain(ref, estimate, target_rows, target_cols)
         expected = reference(ref, float(z), float(a), target_rows, target_cols)
         assert predicted == pytest.approx(expected, rel=1e-13), (ref, estimate)
 
 
+@pytest.mark.parametrize(
+    "rows, cols, spread_sq",
+    [(10**400, 1, 0.01), (10**200, 10**200, 0.0)],
+    ids=["count", "zero-spread-widths"],
+)
+def test_predict_checks_the_reference_count(rows, cols, spread_sq):
+    # a reference count beyond float range gave OverflowError, and widths
+    # whose product is 0 gave ZeroDivisionError
+    estimate = SpreadEstimate(spread_sq, spread_sq, 1, 1, 0, 0)
+    with pytest.raises(ValueError, match="n_elements must be at most"):
+        predict_subarray_gain(SubArrayGain(rows, cols, 1.0), estimate, 2, 2)
+
+
 def test_predict_validates_targets():
-    estimate = SpreadEstimate(0.0, 0.0, 1, 1)
+    estimate = SpreadEstimate(0.0, 0.0, 1, 1, 0, 0)
     ref = SubArrayGain(4, 4, 1.0)
     with pytest.raises(ValueError):
         predict_subarray_gain(ref, estimate, 0, 8)
@@ -329,14 +344,13 @@ def test_relative_gains_beyond_float_range_raise(rx):
 
 
 def test_pair_whose_squared_ratio_overflows_raises():
-    # (1e160)**2 overflows, and 1e300 / 1e-300 already does
+    # (1e160)**2 overflows, and 1e300 / 1e-300 already does; the larger
+    # count is named first whichever way the pair is listed
     for small, large in ((1.0, 1e160), (1e-300, 1e300)):
-        with pytest.raises(ValueError, match="squared gain ratio of 4x8 to 4x4 overflows"):
-            estimate_asd_sq_pair(SubArrayGain(4, 4, small), SubArrayGain(4, 8, large))
-        with pytest.raises(ValueError, match="overflows"):
-            estimate_ls(
-                [SubArrayGain(4, 4, small), SubArrayGain(4, 8, large), SubArrayGain(8, 4, 2.0)]
-            )
+        pair = [SubArrayGain(4, 4, small), SubArrayGain(4, 8, large)]
+        for meas in (pair, pair[::-1]):
+            with pytest.raises(ValueError, match="squared gain ratio of 4x8 to 4x4 overflows"):
+                estimate_ls([*meas, SubArrayGain(8, 4, 2.0)])
 
 
 def test_ls_whose_sums_overflow_raises_instead_of_nan():
