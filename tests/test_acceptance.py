@@ -33,7 +33,6 @@ from arraygain import (
     SubArrayGain,
     convolve_effective_pattern,
     effective_gain,
-    effective_gain_value,
     element_pattern_from_gain,
     estimate_ls,
     gaussian_pattern_sampled,

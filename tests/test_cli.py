@@ -1,8 +1,8 @@
 """End-to-end CLI tests running the real entry point in a subprocess.
 
 Checks the published invocations, byte stability of every emitted
-format, the sweep CSV round trip, and the error-code contract
-(exit 1 with a single "error[code]: ..." line on stderr).
+format, the sweep CSV round trip, and the error-code contract, which
+_refused states once: exit 1, no stdout, one "error[code]: ..." line.
 """
 
 from __future__ import annotations
@@ -59,6 +59,45 @@ def _run(*args, binary=False):
 
 def _lines(result):
     return result.stdout.splitlines()
+
+
+def _main(capsys, argv):
+    # cli.main in this process, its outcome shaped like _run's
+    status = cli.main(argv)
+    return subprocess.CompletedProcess(argv, status, *capsys.readouterr())
+
+
+def _refused(result, code):
+    # the failure contract, as tests/data/refused.sh checks it in CI: exit 1,
+    # nothing on stdout, one stderr line "error[<code>]: ..."; returns that line
+    assert (result.returncode, result.stdout) == (1, ""), result
+    err = result.stderr
+    assert err.startswith(f"error[{code}]: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    return err
+
+
+_REFUSAL = "error[input]: refused\n"
+
+
+@pytest.mark.parametrize(
+    "status, out, err",
+    [(1, "", _REFUSAL), (0, "", _REFUSAL), (2, "", _REFUSAL), (1, "x", _REFUSAL),
+     (1, "", _REFUSAL + "more\n"), (1, "", "error[io]: refused\n")],
+    ids=["refusal", "exit-0", "exit-2", "stdout-byte", "second-line", "other-code"],
+)
+def test_both_contract_checks_judge_alike(status, out, err):
+    # one outcome, judged by _refused and by the CI script on a shell command
+    script = 'printf %s "$1"; printf %s "$2" >&2; exit "$3"'
+    argv = ["sh", str(_DATA / "refused.sh"), "input", "sh", "-c", script, "sh", out, err, str(status)]
+    checked = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert checked.stdout == err
+    outcome = subprocess.CompletedProcess(argv, status, out, err)
+    if (status, out, err) == (1, "", _REFUSAL):
+        assert _refused(outcome, "input") == err and (checked.returncode, checked.stderr) == (0, "")
+    else:
+        with pytest.raises(AssertionError):
+            _refused(outcome, "input")
+        assert checked.returncode == 1 and checked.stderr.startswith("refused.sh: ")
 
 
 # --- optimize -----------------------------------------------------------
@@ -145,9 +184,7 @@ def test_optimize_csv_failure_prints_no_report():
         "optimize", "--elements", "256", "--element-gain-dbi", "5",
         "--asd-deg", "22", "--zsd-deg", "5", "--csv", "/no/such/dir/x.csv",
     )
-    assert result.returncode == 1
-    assert result.stdout == ""
-    assert result.stderr.startswith("error[io]: ")
+    _refused(result, "io")
 
 
 # --- sweep --------------------------------------------------------------
@@ -358,10 +395,8 @@ def test_sweep_list_takes_its_optimum_from_the_allowed_list(tmp_path, capsys):
     assert cli.main(["sweep", *flags, "--geometries", "8x1,2x4"]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == ["8,1,13.769091,1", "2,4,12.027979,0"]
     # every listed geometry must still fit the budget
-    assert cli.main(["sweep", *flags, "--geometries", "8x1,3x4", "--allowed-geometries", "2x4"]) == 1
-    printed = capsys.readouterr()
-    assert printed.out == ""
-    assert printed.err == "error[input]: geometry 3x4 exceeds the element budget 8\n"
+    result = _main(capsys, ["sweep", *flags, "--geometries", "8x1,3x4", "--allowed-geometries", "2x4"])
+    assert _refused(result, "input") == "error[input]: geometry 3x4 exceeds the element budget 8\n"
 
 
 def test_extreme_spread_ratio_picks_from_the_list(capsys):
@@ -376,10 +411,9 @@ def test_extreme_spread_ratio_picks_from_the_list(capsys):
     assert cli.main(["sweep", *flags, "--geometries", "16x16"]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == ["16,16,-2966.372424,1"]
     for command in (["optimize", *flags], ["sweep", *flags]):
-        assert cli.main(command) == 1
-        printed = capsys.readouterr()
-        assert printed.out == ""
-        assert printed.err.startswith("error[spread]: degenerate spread: asd_rad = 1.73e-322 and zsd_rad")
+        assert _refused(_main(capsys, command), "spread").startswith(
+            "error[spread]: degenerate spread: asd_rad = 1.73e-322 and zsd_rad"
+        )
 
 
 @pytest.mark.parametrize(
@@ -415,11 +449,9 @@ def test_sweep_zero_gain_fails_like_the_reference(values, n, geometries, to_file
     if to_file:
         argv += ["--out", str(out)]
     want, error = _reference_sweep_text(scenario, listed, restriction)
-    assert want == "" and error.startswith(f"error[{code}]: ")
-    result = _run(*argv)
-    assert result.returncode == 1
-    assert result.stdout == "" and not out.exists()
-    assert result.stderr == error and result.stderr.count("\n") == 1
+    assert want == ""
+    assert _refused(_run(*argv), code) == error
+    assert not out.exists()
 
 
 _STRONG = {"element_gain_dbi": 5.0, "asd_deg": 22.0, "zsd_deg": 5.0}
@@ -448,10 +480,10 @@ def test_sweep_failure_keeps_a_fifo(tmp_path, capsys, failing_write):
     received = []
     reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
     reader.start()
-    status = cli.main([*_SWEEP, "--out", str(fifo)])
+    result = _main(capsys, [*_SWEEP, "--out", str(fifo)])
     reader.join(timeout=60)
     assert not reader.is_alive()
-    assert status == 1 and capsys.readouterr().err == _FAILED_WRITE
+    assert _refused(result, "io") == _FAILED_WRITE
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
     # the reader got the rows up to the failure, whole lines of the full sweep
     scenario = Scenario(n_elements=5000, **_STRONG)
@@ -465,8 +497,7 @@ def test_sweep_failure_keeps_a_symlink(tmp_path, capsys, failing_write):
     target.write_text("")
     link = tmp_path / "link.csv"
     link.symlink_to(target)
-    assert cli.main([*_SWEEP, "--out", str(link)]) == 1
-    assert capsys.readouterr().err == _FAILED_WRITE
+    assert _refused(_main(capsys, [*_SWEEP, "--out", str(link)]), "io") == _FAILED_WRITE
     assert link.is_symlink() and target.is_file()
 
 
@@ -474,8 +505,7 @@ def test_sweep_failure_removes_no_device(monkeypatch, capsys, failing_write):
     # os.remove is recorded, not run, so a fault here cannot delete the device
     removed = []
     monkeypatch.setattr(os, "remove", removed.append)
-    assert cli.main([*_SWEEP, "--out", os.devnull]) == 1
-    assert capsys.readouterr().err == _FAILED_WRITE
+    assert _refused(_main(capsys, [*_SWEEP, "--out", os.devnull]), "io") == _FAILED_WRITE
     assert removed == []
 
 
@@ -485,8 +515,7 @@ def test_failed_cleanup_keeps_the_original_error(tmp_path, monkeypatch, capsys, 
         raise PermissionError(errno.EACCES, "Permission denied", path)
 
     monkeypatch.setattr(os, "remove", refuse)
-    assert cli.main([*_SWEEP, "--out", str(tmp_path / "rows.csv")]) == 1
-    assert capsys.readouterr().err == _FAILED_WRITE
+    assert _refused(_main(capsys, [*_SWEEP, "--out", str(tmp_path / "rows.csv")]), "io") == _FAILED_WRITE
 
 
 def test_interrupted_write_removes_the_file(tmp_path):
@@ -511,12 +540,11 @@ def test_failed_last_flush_removes_the_file(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "open", full_disk, raising=False)
     out = tmp_path / "rows.csv"
-    status = cli.main([
+    result = _main(capsys, [
         "sweep", "--elements", "16", "--element-gain-dbi", "5",
         "--asd-deg", "22", "--zsd-deg", "5", "--out", str(out),
     ])
-    assert status == 1
-    assert capsys.readouterr().err == "error[io]: [Errno 28] No space left on device\n"
+    assert _refused(result, "io") == "error[io]: [Errno 28] No space left on device\n"
     assert not out.exists()
 
 
@@ -784,12 +812,9 @@ def test_estimate_prints_a_prediction_that_rounds_to_zero_unsigned(tmp_path):
 
 def test_estimate_unidentifiable_axis(tmp_path):
     csv = tmp_path / "two.csv"
-    csv.write_text(
-        "rows,cols,tx_power_dbm,rx_power_dbm\n4,4,10.0,-70.0\n4,8,10.0,-67.0\n"
-    )
-    result = _run("estimate", str(csv))
-    assert result.returncode == 1
-    assert result.stderr.startswith("error[estimate]: ZSD unidentifiable")
+    csv.write_text("rows,cols,tx_power_dbm,rx_power_dbm\n4,4,10.0,-70.0\n4,8,10.0,-67.0\n")
+    err = _refused(_run("estimate", str(csv)), "estimate")
+    assert err.startswith("error[estimate]: ZSD unidentifiable")
 
 
 @pytest.mark.parametrize(
@@ -803,11 +828,7 @@ def test_estimate_gains_beyond_float_range_fail_with_one_line(tmp_path, middle):
     csv = tmp_path / "m.csv"
     rows = ["rows,cols,tx_power_dbm,rx_power_dbm", "4,4,10.0,-70.0", *middle, "8,4,10.0,-67.1"]
     csv.write_text("\n".join(rows) + "\n")
-    result = _run("estimate", str(csv), "--predict", "8", "8")
-    assert result.returncode == 1
-    assert result.stdout == ""
-    assert len(result.stderr.splitlines()) == 1
-    assert result.stderr.startswith("error[input]: ")
+    _refused(_run("estimate", str(csv), "--predict", "8", "8"), "input")
 
 
 # gains in the aperture law 4x4 : 4x8 : 8x4 = 1 : 2 : 2, a zero-spread estimate
@@ -822,24 +843,40 @@ _ZERO_SPREAD = ["4,4,0.0,-70.0", "4,8,0.0,-66.98970004336019", "8,4,0.0,-66.9897
         ([], ["--predict", str(10**200), str(10**200)]),
         ([f"{10**400},1,0.0,-70.0"], ["--baseline-index", "3", "--predict", "2", "2"]),
         ([f"{10**200},{10**200},0.0,-70.0"], ["--baseline-index", "3", "--predict", "2", "2"]),
+        # a nonzero azimuth spread: the target's subnormal width, its count
+        # and its gain named the optimizer's n_elements or a unit element
+        (["4,16,0.0,-64.5"], ["--predict", "5", str(10**307)]),
+        (["4,16,0.0,-64.5"], ["--predict", str(10**400), "1"]),
+        (["4,16,0.0,-64.5"], ["--predict", "9", str(10**307)]),
     ],
     ids=[
         "csv-cols-squared", "predict-count", "predict-zero-spread-widths",
         "baseline-count", "baseline-zero-spread-widths",
+        "predict-subnormal-width", "predict-count-with-spread", "predict-gain-overflows",
     ],
 )
 def test_estimate_counts_beyond_float_range_fail_with_one_line(tmp_path, middle, predict):
-    # each printed error[internal] and exited 2: a squared count and a count
-    # that do not convert to float, and two widths whose product is 0, of
-    # the target or of the baseline
+    # the first five printed error[internal] and exited 2: a squared count and
+    # a count that do not convert to float, and two widths whose product is
+    # 0, of the target or of the baseline
     csv = tmp_path / "m.csv"
     rows = ["rows,cols,tx_power_dbm,rx_power_dbm", *_ZERO_SPREAD, *middle]
     csv.write_text("\n".join(rows) + "\n")
-    result = _run("estimate", str(csv), *predict)
-    assert result.returncode == 1
-    assert result.stdout == ""
-    assert len(result.stderr.splitlines()) == 1
-    assert result.stderr.startswith("error[input]: ")
+    err = _refused(_run("estimate", str(csv), *predict), "input")
+    assert "n_elements" not in err and "bw_elev_rad" not in err
+    if predict:
+        # the larger of the target and the baseline is named
+        named = middle[0].split(",")[:2] if "--baseline-index" in predict else predict[-2:]
+        assert err == f"error[input]: gain of the {'x'.join(named)} sub-array leaves the float range\n"
+
+
+def test_estimate_refuses_more_measurements_than_it_fits(tmp_path):
+    # the pairs grow as the square of the rows, so past 1,000 rows none is formed
+    csv = tmp_path / "m.csv"
+    rows = [f"4,{cols},0.0,-70.0" for cols in range(1, 1002)]
+    csv.write_text("\n".join(["rows,cols,tx_power_dbm,rx_power_dbm", *rows]) + "\n")
+    err = _refused(_run("estimate", str(csv)), "input")
+    assert err == "error[input]: at most 1000 measurements can be fitted, got 1001\n"
 
 
 def test_estimate_output_matches_the_golden_file():
@@ -914,10 +951,7 @@ def test_validate_prints_gains_that_round_to_zero_unsigned():
     ids=["elevation-samples"],
 )
 def test_validate_grid_past_the_cap_is_a_typed_error(args, needed):
-    result = _run("validate", *args)
-    assert result.returncode == 1
-    assert result.stdout == ""
-    assert result.stderr == (
+    assert _refused(_run("validate", *args), "oracle") == (
         f"error[oracle]: grid too large: elevation needs {needed} samples, "
         "more than the 2000000 allowed per axis\n"
     )
@@ -929,9 +963,7 @@ def test_validate_paths_past_one_chunk_is_a_typed_error():
         "validate", "--element-gain-dbi", "5", "--rows", "4", "--cols", "4",
         "--paths", "100000000", "--realizations", "1",
     )
-    assert result.returncode == 1
-    assert result.stdout == ""
-    assert result.stderr == (
+    assert _refused(result, "input") == (
         "error[input]: n_paths must be at most 262144 (one Monte-Carlo chunk), got 100000000\n"
     )
 
@@ -942,15 +974,12 @@ def test_validate_one_realization_is_a_typed_error():
         "validate", "--element-gain-dbi", "5", "--rows", "1", "--cols", "1",
         "--asd-deg", "1", "--realizations", "1",
     )
-    assert result.returncode == 1
-    assert result.stdout == ""
-    assert result.stderr == "error[input]: n_realizations must be at least 2, got 1\n"
+    assert _refused(result, "input") == "error[input]: n_realizations must be at least 2, got 1\n"
 
 
 def test_validate_requires_geometry():
-    result = _run("validate", "--element-gain-dbi", "5")
-    assert result.returncode == 1
-    assert result.stderr.startswith("error[scenario]: validate needs a geometry")
+    err = _refused(_run("validate", "--element-gain-dbi", "5"), "scenario")
+    assert err.startswith("error[scenario]: validate needs a geometry")
 
 
 # --- scenario files and error paths ------------------------------------
@@ -975,37 +1004,23 @@ def test_scenario_file_with_flag_overrides(tmp_path):
 
 
 def test_usage_errors():
-    unknown_flag = _run("optimize", "--no-such-flag")
-    assert unknown_flag.returncode == 1
-    assert unknown_flag.stderr.startswith("error[usage]: ")
-
-    unknown_command = _run("frobnicate")
-    assert unknown_command.returncode == 1
-    assert unknown_command.stderr.startswith("error[usage]: ")
+    for args in (("optimize", "--no-such-flag"), ("frobnicate",)):
+        _refused(_run(*args), "usage")
 
 
 def test_io_error():
-    result = _run("estimate", "/no/such/file.csv")
-    assert result.returncode == 1
-    assert result.stderr.startswith("error[io]: ")
+    _refused(_run("estimate", "/no/such/file.csv"), "io")
 
 
 def test_measurement_error_names_the_line(tmp_path):
     csv = tmp_path / "bad.csv"
     csv.write_text("rows,cols,tx_power_dbm,rx_power_dbm\n4,4,10.0\n")
-    result = _run("estimate", str(csv))
-    assert result.returncode == 1
-    assert result.stderr.startswith("error[measurements]: ")
-    assert ":2:" in result.stderr
+    assert ":2:" in _refused(_run("estimate", str(csv)), "measurements")
 
 
 def test_eirp_error():
-    result = _run(
-        "optimize", "--eirp-dbm", "0", "--element-power-dbm", "10",
-        "--element-gain-dbi", "5",
-    )
-    assert result.returncode == 1
-    assert result.stderr.startswith("error[eirp]: EIRP below single-element emission")
+    result = _run("optimize", "--eirp-dbm", "0", "--element-power-dbm", "10", "--element-gain-dbi", "5")
+    assert _refused(result, "eirp").startswith("error[eirp]: EIRP below single-element emission")
 
 
 def test_budget_beyond_the_scan_is_an_input_error():
@@ -1018,9 +1033,7 @@ def test_budget_beyond_the_scan_is_an_input_error():
         ("sweep", "--elements", "1000000000001", *spread),
     ):
         result = subprocess.run(_CMD + list(args), capture_output=True, text=True, timeout=10)
-        assert result.returncode == 1
-        assert result.stdout == ""
-        assert result.stderr.startswith(
+        assert _refused(result, "input").startswith(
             "error[input]: n_elements must be at most 1000000000000 to scan every geometry, got "
         )
     # the largest budget scanned still answers
@@ -1035,9 +1048,7 @@ def test_budget_beyond_float_range_is_an_input_error():
             command, "--elements", "1" + "0" * 400, "--element-gain-dbi", "5",
             "--asd-deg", "22", "--zsd-deg", "5",
         )
-        assert result.returncode == 1
-        assert result.stdout == ""
-        assert result.stderr.startswith("error[input]: n_elements must be at most ")
+        assert _refused(result, "input").startswith("error[input]: n_elements must be at most ")
 
 
 _TINY_WIDTHS = ("--bw-elev-deg", "1e-200", "--bw-azim-deg", "1e-200")
@@ -1145,12 +1156,7 @@ _WIDE_BEAM = (
 )
 def test_gain_beyond_float_range_is_a_typed_error(args, code, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    result = _run(*args)
-    assert result.returncode == 1
-    assert result.stdout == ""
-    lines = result.stderr.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith(f"error[{code}]: ")
+    _refused(_run(*args), code)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1159,31 +1165,27 @@ def test_subnormal_nominal_width_is_named():
         "optimize", "--bw-elev-deg", "1e300", "--bw-azim-deg", "1e-300", "--elements",
         "1" + "0" * 20, "--allowed-geometries", "1x1" + "0" * 20,
     )
-    assert result.stderr == "error[element]: degenerate element: nominal bw_azim_rad = 1.73e-322 is subnormal\n"
+    assert _refused(result, "element") == (
+        "error[element]: degenerate element: nominal bw_azim_rad = 1.73e-322 is subnormal\n"
+    )
 
 
 def test_estimate_rejects_widths_beyond_float_range(tmp_path):
     csv = tmp_path / "m.csv"
     _forward_csv(csv, zsd_sq=0.0009, asd_sq=0.04)
-    result = _run("estimate", str(csv), *_TINY_WIDTHS)
-    assert result.returncode == 1
-    assert result.stdout == ""
-    assert result.stderr.startswith("error[element]: ")
+    _refused(_run("estimate", str(csv), *_TINY_WIDTHS), "element")
 
 
 def test_scenario_error():
-    result = _run("optimize", "--elements", "16")
-    assert result.returncode == 1
-    assert result.stderr.startswith("error[scenario]: element description missing")
+    err = _refused(_run("optimize", "--elements", "16"), "scenario")
+    assert err.startswith("error[scenario]: element description missing")
 
 
 def test_estimate_needs_a_whole_element_description(tmp_path):
     csv = tmp_path / "m.csv"
     _forward_csv(csv, zsd_sq=0.0009, asd_sq=0.04)
-    result = _run("estimate", str(csv), "--bw-elev-deg", "20")
-    assert result.returncode == 1
-    assert result.stdout == ""
-    assert result.stderr.startswith("error[scenario]: element description missing")
+    err = _refused(_run("estimate", str(csv), "--bw-elev-deg", "20"), "scenario")
+    assert err.startswith("error[scenario]: element description missing")
 
 
 def test_help_exits_zero():
@@ -1273,12 +1275,9 @@ def test_planning_subcommands_run_without_numpy(tmp_path):
          "--rows", "4", "--cols", "4"],
         capture_output=True, text=True, timeout=300,
     )
-    assert validate.returncode == 1
-    assert validate.stdout == ""
-    lines = validate.stderr.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("error[oracle]: validate needs numpy")
-    assert "pip install 'arraygain[oracle]'" in lines[0]
+    err = _refused(validate, "oracle")
+    assert err.startswith("error[oracle]: validate needs numpy")
+    assert "pip install 'arraygain[oracle]'" in err
 
 
 def test_oracle_names_resolve_lazily():

@@ -18,7 +18,6 @@ import pytest
 from arraygain import (
     AngularSpread,
     ArrayGeometry,
-    ElementPattern,
     SpreadEstimate,
     SubArrayGain,
     UnidentifiableSpreadError,
@@ -28,6 +27,7 @@ from arraygain import (
     predict_subarray_gain,
     relative_gains_from_power,
 )
+from arraygain.estimate import _MAX_MEASUREMENTS
 
 
 def _forward_gain(element, rows, cols, spread):
@@ -299,7 +299,7 @@ def test_predict_checks_the_reference_count(rows, cols, spread_sq):
     # a reference count beyond float range gave OverflowError, and widths
     # whose product is 0 gave ZeroDivisionError
     estimate = SpreadEstimate(spread_sq, spread_sq, 1, 1, 0, 0)
-    with pytest.raises(ValueError, match="n_elements must be at most"):
+    with pytest.raises(ValueError, match=f"^gain of the {rows}x{cols} sub-array leaves the float range$"):
         predict_subarray_gain(SubArrayGain(rows, cols, 1.0), estimate, 2, 2)
 
 
@@ -362,6 +362,19 @@ def test_ls_whose_sums_overflow_raises_instead_of_nan():
     ]
     with pytest.raises(ValueError, match="ASD least-squares sums overflow"):
         estimate_ls(meas)
+
+
+def test_ls_refuses_more_measurements_than_the_limit():
+    # the pairs grow as the square of the list, so a long list is refused
+    # before any pair is formed; k x k measurements make no pair at all
+    meas = [SubArrayGain(k, k, 1.0) for k in range(1, _MAX_MEASUREMENTS + 2)]
+    with pytest.raises(
+        ValueError,
+        match=f"^at most {_MAX_MEASUREMENTS} measurements can be fitted, got {_MAX_MEASUREMENTS + 1}$",
+    ):
+        estimate_ls(meas)
+    with pytest.raises(UnidentifiableSpreadError):
+        estimate_ls(meas[:-1])
 
 
 def test_relative_gains_validation():
