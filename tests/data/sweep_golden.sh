@@ -32,3 +32,6 @@ done
 # a list that repeats the winner 32 x 8
 "$py" -m arraygain sweep --elements 256 --element-gain-dbi 5 --asd-deg 22 --zsd-deg 5 \
     --geometries 32x8,16x16,32x8,1x256,32x8
+# an allowed-list optimum, 1 x 3, that is no written row: no row is flagged
+"$py" -m arraygain sweep --elements 8 --element-gain-dbi 5 --asd-deg 22 --zsd-deg 5 \
+    --allowed-geometries 1x3

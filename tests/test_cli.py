@@ -187,6 +187,15 @@ def test_optimize_csv_failure_prints_no_report():
     _refused(result, "io")
 
 
+def test_optimize_output_matches_the_golden_file():
+    # the script and file that the stdlib CI job diffs on each supported Python
+    result = subprocess.run(
+        ["sh", str(_DATA / "optimize_golden.sh"), sys.executable], capture_output=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (_DATA / "optimize_golden.txt").read_bytes()
+
+
 # --- sweep --------------------------------------------------------------
 
 def test_sweep_reference_rows():
