@@ -15,8 +15,10 @@ which is N times the element gain at zero spread.  Results carry it as
 :attr:`arraygain.beam.GainReport.upper_bound_linear` for one geometry.
 The integer winner is the tallest geometry rows = N // cols whose gain is
 within 1e-12 of the best over cols 1..N, a property of the set of gains;
-a walk over runs of equal rows out from the closed-form cols finds it,
-zero spread too.
+a walk over runs of equal rows finds it from any start, which sets only
+the walk's length.  It starts at the closed-form cols, or where there is
+none (a zero spread, or a ratio past the float range) at cols = N when
+zsd * bw_azim > asd * bw_elev and at cols = 1 otherwise.
 
 EIRP sizing inverts the regulatory cap EIRP = P_t + G_e + 20 log10(n)
 for the largest compliant element count.
@@ -87,13 +89,27 @@ class OptimizationResult(Value):
 _MAX_SCAN_ELEMENTS = 10**12
 
 
+def _closed_form(n: int, element: ElementPattern, spread: AngularSpread) -> ContinuousGeometry | None:
+    # rows = sqrt(N * bw_elev * asd / (bw_azim * zsd)), cols = N / rows; None
+    # when a spread is zero or the ratio puts rows or cols past the normal floats
+    denominator = element.bw_azim_rad * spread.zsd_rad
+    if spread.asd_rad == 0.0 or denominator == 0.0:
+        return None
+    rows = math.sqrt(n * element.bw_elev_rad * spread.asd_rad / denominator)
+    cols = n / rows if rows > 0.0 else 0.0
+    if _NORMAL <= rows < math.inf and _NORMAL <= cols < math.inf:
+        return ContinuousGeometry(rows_real=rows, cols_real=cols)
+    return None
+
+
 def optimal_geometry_continuous(
     n_elements: int, element: ElementPattern, spread: AngularSpread
 ) -> ContinuousGeometry:
     """Closed-form real-valued geometry attaining the gain bound.
 
     rows = sqrt(N * bw_elev * asd / (bw_azim * zsd)) and cols = N / rows,
-    which makes the nominal beamwidth ratio equal the spread ratio.
+    which makes the nominal beamwidth ratio equal the spread ratio.  It
+    needs no scan, so it also answers budgets past the scan's 10**12.
 
     Raises
     ------
@@ -109,18 +125,13 @@ def optimal_geometry_continuous(
         raise DegenerateSpreadError(
             "degenerate spread: closed-form geometry needs both spreads > 0"
         )
-    rows = math.sqrt(
-        n_elements * element.bw_elev_rad * spread.asd_rad
-        / (element.bw_azim_rad * spread.zsd_rad)
-    )
-    cols = n_elements / rows if rows > 0.0 else 0.0
-    # an extreme spread ratio pushes rows or cols past the float range
-    if not (_NORMAL <= rows < math.inf and _NORMAL <= cols < math.inf):
+    continuous = _closed_form(n_elements, element, spread)
+    if continuous is None:
         raise DegenerateSpreadError(
             f"degenerate spread: asd_rad = {spread.asd_rad!r} and zsd_rad = "
             f"{spread.zsd_rad!r} put the closed-form geometry beyond float range"
         )
-    return ContinuousGeometry(rows_real=rows, cols_real=cols)
+    return continuous
 
 
 def _run(n: int, cols: int) -> range:
@@ -221,25 +232,10 @@ def optimal_geometry_integer(
     OptimizationResult
         The winner, its gain report, the budget-level bound, and the
         continuous solution (None when either spread is zero, or when
-        ``allowed_geometries`` is given and the spread ratio puts the
-        closed form beyond float range).
-
-    Raises
-    ------
-    DegenerateSpreadError
-        Without ``allowed_geometries``, if the spread ratio puts the
-        closed form, where the walk starts, beyond float range.
+        the spread ratio puts the closed form beyond float range).
     """
-    continuous = None
-    if spread.asd_rad > 0.0 and spread.zsd_rad > 0.0:
-        try:
-            continuous = optimal_geometry_continuous(n_elements, element, spread)
-        except DegenerateSpreadError:
-            # the walk starts from the closed form; a list needs none
-            if allowed_geometries is None:
-                raise
-    else:  # the closed form runs this same check first
-        _check_budget(n_elements, element, spread)
+    _check_budget(n_elements, element, spread)
+    continuous = _closed_form(n_elements, element, spread)
     if allowed_geometries is not None:
         if not allowed_geometries:
             raise ValueError("allowed_geometries is empty")
@@ -262,8 +258,10 @@ def optimal_geometry_integer(
         if continuous is not None:
             start = min(max(round(continuous.cols_real), 1), n_elements)
         else:
-            # zsd = 0: the envelope falls with cols; asd = 0: it rises
-            start = 1 if spread.zsd_rad == 0.0 else n_elements
+            # cols_real > sqrt(N) exactly when zsd * bw_azim > asd * bw_elev;
+            # without a closed form it lies past that end of 1..N
+            wide = spread.zsd_rad * element.bw_azim_rad > spread.asd_rad * element.bw_elev_rad
+            start = n_elements if wide else 1
         rows, cols = _scan_runs(n_elements, element, spread, start)
     best_geom = ArrayGeometry(rows=rows, cols=cols)
     return OptimizationResult(

@@ -409,8 +409,8 @@ def test_sweep_list_takes_its_optimum_from_the_allowed_list(tmp_path, capsys):
 
 
 def test_extreme_spread_ratio_picks_from_the_list(capsys):
-    # the closed form is beyond float range here, but a list needs no walk
-    # from it; a full scan still does, so that stays error[spread]
+    # the closed form is beyond float range here, and neither a list nor the
+    # full scan needs it
     flags = ["--elements", "256", "--element-gain-dbi", "5", "--asd-deg", "1e-320", "--zsd-deg", "1e300"]
     assert cli.main(["optimize", *flags, "--allowed-geometries", "16x16"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -419,10 +419,8 @@ def test_extreme_spread_ratio_picks_from_the_list(capsys):
     assert capsys.readouterr().out.splitlines()[1:] == ["16,16,-2966.372424,0", "8,32,-2963.362124,1"]
     assert cli.main(["sweep", *flags, "--geometries", "16x16"]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == ["16,16,-2966.372424,1"]
-    for command in (["optimize", *flags], ["sweep", *flags]):
-        assert _refused(_main(capsys, command), "spread").startswith(
-            "error[spread]: degenerate spread: asd_rad = 1.73e-322 and zsd_rad"
-        )
+    assert cli.main(["optimize", *flags]) == 0
+    assert "integer optimum: 1 x 256 (256 elements)" in capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize(
@@ -1132,15 +1130,6 @@ _WIDE_BEAM = (
             ((command, *_WIDE_BEAM, *extra), "input")
             for command, extra in (("optimize", ()), ("sweep", ()), ("sweep", ("--out", "x.csv")))
         ),
-        # a spread ratio whose closed-form rows underflows to 0 (error[internal]
-        # "float division by zero" before) or overflows to inf (error[input]
-        # "rows_real must be finite and > 0", which named no input)
-        *(
-            ((command, "--elements", "256", "--element-gain-dbi", "5", "--asd-deg", asd,
-              "--zsd-deg", zsd), "spread")
-            for asd, zsd in (("1e-320", "1e300"), ("1e300", "1e-300"))
-            for command in ("optimize", "sweep")
-        ),
     ],
     ids=[
         "huge-array-gain",
@@ -1157,16 +1146,38 @@ _WIDE_BEAM = (
         "zero-gain-optimize",
         "zero-gain-sweep",
         "zero-gain-sweep-out",
-        "rows-underflow-optimize",
-        "rows-underflow-sweep",
-        "rows-overflow-optimize",
-        "rows-overflow-sweep",
     ],
 )
 def test_gain_beyond_float_range_is_a_typed_error(args, code, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     _refused(_run(*args), code)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["optimize", "sweep"])
+@pytest.mark.parametrize(
+    "element, asd, zsd, winner",
+    [
+        # closed-form rows underflows to 0 (error[internal] "float division by
+        # zero", later error[spread]) or overflows to inf (error[spread])
+        (("--element-gain-dbi", "5"), "1e-320", "1e300", "1,256"),
+        (("--element-gain-dbi", "5"), "1e300", "1e-300", "256,1"),
+        # bw_azim * zsd underflows to 0 (error[internal] "float division by zero")
+        (("--bw-elev-deg", "10", "--bw-azim-deg", "10"), "20", "3e-322", "256,1"),
+    ],
+    ids=["rows-underflow", "rows-overflow", "denominator-underflow"],
+)
+def test_extreme_spread_ratio_is_answered(element, asd, zsd, winner, command):
+    # the scan needs no closed form: it starts at the end of 1..N the ratio leans to
+    result = _run(command, "--elements", "256", *element, "--asd-deg", asd, "--zsd-deg", zsd)
+    assert (result.returncode, result.stderr) == (0, "")
+    rows, cols = winner.split(",")
+    if command == "optimize":
+        assert "continuous optimum: none (degenerate spread)" in _lines(result)
+        assert f"integer optimum: {rows} x {cols} (256 elements)" in _lines(result)
+    else:
+        flagged = [line for line in _lines(result) if line.endswith(",1")]
+        assert len(flagged) == 1 and flagged[0].startswith(winner + ",")
 
 
 def test_subnormal_nominal_width_is_named():

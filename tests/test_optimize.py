@@ -173,6 +173,13 @@ def test_continuous_rejects_degenerate_spread(spread_deg):
         optimal_geometry_continuous(256, element, spread_deg(0.0, 14.0))
     with pytest.raises(DegenerateSpreadError):
         optimal_geometry_continuous(256, element, spread_deg(0.6, 0.0))
+    # bw_azim * zsd underflows to 0: a ratio past the float range, not ZeroDivisionError
+    ten = math.radians(10.0)
+    with pytest.raises(DegenerateSpreadError, match="beyond float range"):
+        optimal_geometry_continuous(
+            256, ElementPattern(bw_elev_rad=ten, bw_azim_rad=ten),
+            AngularSpread(zsd_rad=5e-324, asd_rad=math.radians(20.0)),
+        )
 
 
 def test_continuous_geometry_validation():
@@ -336,6 +343,31 @@ def test_pruned_scan_matches_exhaustive_scan_on_dense_near_ties():
         spread = AngularSpread(zsd_rad=zsd, asd_rad=asd)
         best = optimal_geometry_integer(n, element, spread).integer_best
         assert (best.rows, best.cols) == _exhaustive_best(n, element, spread)[1:]
+
+
+def test_scan_without_a_closed_form_matches_exhaustive_scan():
+    # one spread subnormal or tiny, the other up to 10**300 rad, each way
+    # round: the closed form's rows or cols leaves the normal floats, or
+    # bw_azim * zsd underflows to 0, and the walk starts at cols = 1 or N
+    rng = np.random.default_rng(324)
+    small = [5e-324, 1e-323, 5e-323, 1e-323 * 7, 1e-300, 1e-250, 1e-200]
+    large = [1e-2, 1.0, 1e100, 1e200, 1e300]
+    without = 0
+    for i in range(300):
+        n = int(rng.integers(1, 5001))
+        element = ElementPattern(
+            bw_elev_rad=float(10.0 ** rng.uniform(-3.0, 0.3)),
+            bw_azim_rad=float(10.0 ** rng.uniform(-3.0, 0.3)),
+        )
+        tiny, wide = float(rng.choice(small)), float(rng.choice(large))
+        spread = AngularSpread(zsd_rad=tiny, asd_rad=wide) if i % 2 else AngularSpread(
+            zsd_rad=wide, asd_rad=tiny
+        )
+        result = optimal_geometry_integer(n, element, spread)
+        without += result.continuous is None
+        best = result.integer_best
+        assert (best.rows, best.cols) == _exhaustive_best(n, element, spread)[1:]
+    assert without > 100
 
 
 def test_flat_envelope_scan_keeps_constant_memory(spread_deg):
