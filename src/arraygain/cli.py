@@ -328,14 +328,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     config = McConfig(n_paths=args.paths, n_realizations=args.realizations, seed=args.seed)
     mc_gain, mc_se = monte_carlo_effective_gain(element, geom, spread, config)
     mc_err = abs(mc_gain - analytic.effective_gain_linear)
-    if mc_se > 0.0:
-        z_score = mc_err / mc_se
-        se_db = linear_to_db(mc_gain + mc_se) - linear_to_db(mc_gain)
-        mc_ok = mc_err <= 3.0 * mc_se
-    else:
-        z_score = 0.0 if mc_err == 0.0 else float("inf")
-        se_db = 0.0
-        mc_ok = mc_err == 0.0
+    mc_ok = mc_err <= 3.0 * mc_se
+    se_db = linear_to_db(mc_gain + mc_se) - linear_to_db(mc_gain)
+    # a zero SE comes with an exact gain (zero spread)
+    z_score = mc_err / mc_se if mc_se > 0.0 else (math.inf if mc_err else 0.0)
     conv_ok = abs(conv_delta) <= 0.2
 
     lines = [

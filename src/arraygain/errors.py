@@ -50,10 +50,6 @@ class UnidentifiableSpreadError(ArrayGainError):
 
     code = "estimate"
 
-    def __init__(self, axis: str):
-        self.axis = axis
-        super().__init__(f"{axis} unidentifiable")
-
 
 class GridResolutionError(ArrayGainError):
     """Angular grid too coarse for the pattern or spread placed on it,

@@ -129,7 +129,7 @@ def _axis_fit(measurements: list[SubArrayGain], axis: str) -> tuple[float, int, 
             except OverflowError:
                 raise ValueError(f"squared count of {large.rows}x{large.cols} overflows") from None
     if not coeffs:
-        raise UnidentifiableSpreadError(axis)
+        raise UnidentifiableSpreadError(f"{axis} unidentifiable")
     if len(coeffs) == 1:
         # one pair: its equation solved as b / a, since the sums would
         # divide a * b by a**2, which can differ in the last bit
@@ -256,18 +256,16 @@ def relative_gains_from_power(measurements, baseline_index: int) -> list[SubArra
     _, _, tx_base, rx_base = records[baseline_index]
     gains = []
     for i, (rows, cols, tx, rx) in enumerate(records):
-        if i == baseline_index:
-            gain = 1.0
-        else:
-            delta_db = (rx - rx_base) - (tx - tx_base)
-            try:
-                gain = 10.0 ** (delta_db / 10.0)
-            except OverflowError:
-                gain = math.inf
-            if not 0.0 < gain < math.inf:
-                raise ValueError(
-                    f"measurement {i}: a gain of {delta_db:.6g} dB over the baseline "
-                    "leaves the float range"
-                )
+        # the baseline's own delta is exactly 0.0, so its gain is exactly 1.0
+        delta_db = (rx - rx_base) - (tx - tx_base)
+        try:
+            gain = 10.0 ** (delta_db / 10.0)
+        except OverflowError:
+            gain = math.inf
+        if not 0.0 < gain < math.inf:
+            raise ValueError(
+                f"measurement {i}: a gain of {delta_db:.6g} dB over the baseline "
+                "leaves the float range"
+            )
         gains.append(SubArrayGain(rows=rows, cols=cols, gain_linear=gain))
     return gains

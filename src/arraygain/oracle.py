@@ -67,7 +67,7 @@ class AngularGrid(Value):
 
     __slots__ = ("n_azim", "n_elev", "elev_half_span_rad")
 
-    def __init__(self, n_azim: int, n_elev: int, elev_half_span_rad: float = math.pi / 2) -> None:
+    def __init__(self, n_azim: int, n_elev: int, elev_half_span_rad: float) -> None:
         for name, value in (("n_azim", n_azim), ("n_elev", n_elev)):
             if not isinstance(value, int) or isinstance(value, bool) or value < 2:
                 raise ValueError(f"{name} must be an integer >= 2, got {value!r}")
@@ -96,9 +96,9 @@ class AngularGrid(Value):
 def grid_for(
     bw_elev_rad: float,
     bw_azim_rad: float,
-    spread: AngularSpread | None = None,
+    spread: AngularSpread,
 ) -> AngularGrid:
-    """Grid fine and wide enough for a beam and an optional spread.
+    """Grid fine and wide enough for a beam and a spread.
 
     Spacing per axis is at most the finest of 0.05 degrees,
     beamwidth/8 and (when nonzero) spread/8: each count is rounded up to
@@ -115,8 +115,7 @@ def grid_for(
     """
     check_positive_float("bw_elev_rad", bw_elev_rad)
     check_positive_float("bw_azim_rad", bw_azim_rad)
-    zsd = spread.zsd_rad if spread is not None else 0.0
-    asd = spread.asd_rad if spread is not None else 0.0
+    zsd, asd = spread.zsd_rad, spread.asd_rad
 
     d_azim = min(_DEFAULT_SPACING_RAD, bw_azim_rad / 8.0)
     if asd > 0.0:
@@ -263,10 +262,16 @@ def convolve_effective_pattern(nominal: SampledPattern, spread: AngularSpread) -
 _MC_CHUNK_DRAWS = 2**18
 
 
+# Draws per variate in one run: a run of this many takes about 2 s on a
+# 2-core x86 host, and a refused one would have taken up to days
+_MC_MAX_DRAWS = 2**25
+
+
 class McConfig(Value):
     """Monte-Carlo run shape: paths per realization (at most one chunk,
     2**18), realization count (at least 2, so a standard error exists),
-    and the 64-bit seed that makes the run reproducible."""
+    at most 2**25 draws in all, and the 64-bit seed that makes the run
+    reproducible."""
 
     __slots__ = ("n_paths", "n_realizations", "seed")
 
@@ -281,6 +286,11 @@ class McConfig(Value):
             )
         if n_realizations < 2:
             raise ValueError(f"n_realizations must be at least 2, got {n_realizations}")
+        if n_paths * n_realizations > _MC_MAX_DRAWS:
+            raise ValueError(
+                f"n_paths * n_realizations must be at most {_MC_MAX_DRAWS}, "
+                f"got {n_paths} * {n_realizations}"
+            )
         if not isinstance(seed, int) or isinstance(seed, bool) or not (0 <= seed < 2**64):
             raise ValueError(f"seed must be a 64-bit non-negative integer, got {seed!r}")
         setfield(self, "n_paths", n_paths)

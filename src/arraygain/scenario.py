@@ -161,12 +161,6 @@ class Scenario(Value):
             return None
         return ArrayGeometry(rows=self.rows, cols=self.cols)
 
-    def element_gain_dbi_value(self) -> float:
-        """Element gain in dBi, derived from beamwidths when not given."""
-        if self.element_gain_dbi is not None:
-            return self.element_gain_dbi
-        return linear_to_db(self.element().gain_linear)
-
     def budget(self) -> int:
         """Element budget: the smallest of n_elements and the EIRP cap, as given.
 
@@ -182,9 +176,10 @@ class Scenario(Value):
             # only an EIRP cap needs optimize: estimate and validate never load it
             from .optimize import max_elements_for_eirp
 
-            limits.append(max_elements_for_eirp(
-                self.eirp_dbm, self.per_element_power_dbm, self.element_gain_dbi_value()
-            ))
+            gain_dbi = self.element_gain_dbi
+            if gain_dbi is None:  # derived from the beamwidths
+                gain_dbi = linear_to_db(self.element().gain_linear)
+            limits.append(max_elements_for_eirp(self.eirp_dbm, self.per_element_power_dbm, gain_dbi))
         if not limits:
             raise ScenarioError(
                 "no element budget: set n_elements or eirp_dbm with per_element_power_dbm"

@@ -984,6 +984,17 @@ def test_validate_one_realization_is_a_typed_error():
     assert _refused(result, "input") == "error[input]: n_realizations must be at least 2, got 1\n"
 
 
+def test_validate_refuses_runs_of_days():
+    # 2 * 10**10 draws ran until killed; now refused before any is drawn
+    result = _run(
+        "validate", "--element-gain-dbi", "5", "--rows", "4", "--cols", "4",
+        "--asd-deg", "1", "--realizations", "1000000000",
+    )
+    assert _refused(result, "input") == (
+        "error[input]: n_paths * n_realizations must be at most 33554432, got 20 * 1000000000\n"
+    )
+
+
 def test_validate_requires_geometry():
     err = _refused(_run("validate", "--element-gain-dbi", "5"), "scenario")
     assert err.startswith("error[scenario]: validate needs a geometry")

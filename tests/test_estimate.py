@@ -192,14 +192,14 @@ def test_ls_counts_skipped_pairs():
 def test_ls_unidentifiable_axes():
     spread = _spread_from_normalized(0.0009, 0.04)
     only_cols = _measurements(_ELEMENT, spread, [(4, 4), (4, 8), (4, 16)])
-    with pytest.raises(UnidentifiableSpreadError, match="ZSD unidentifiable") as info:
+    with pytest.raises(UnidentifiableSpreadError) as info:
         estimate_ls(only_cols)
-    assert info.value.axis == "ZSD"
+    assert str(info.value) == "ZSD unidentifiable"
 
     only_rows = _measurements(_ELEMENT, spread, [(4, 4), (8, 4), (16, 4)])
-    with pytest.raises(UnidentifiableSpreadError, match="ASD unidentifiable") as info:
+    with pytest.raises(UnidentifiableSpreadError) as info:
         estimate_ls(only_rows)
-    assert info.value.axis == "ASD"
+    assert str(info.value) == "ASD unidentifiable"
 
     with pytest.raises(UnidentifiableSpreadError, match="ASD"):
         estimate_ls(_measurements(_ELEMENT, spread, [(4, 4)]))

@@ -35,17 +35,19 @@ from arraygain import oracle
 from arraygain.oracle import _array_factor_power, _main_lobe_width
 
 DEG = math.pi / 180.0
+HALF_PI = math.pi / 2
+NO_SPREAD = AngularSpread(zsd_rad=0.0, asd_rad=0.0)
 
 
 # --- grids --------------------------------------------------------------
 
 def test_grid_validation():
     with pytest.raises(ValueError, match="even"):
-        AngularGrid(n_azim=7201, n_elev=3600)
+        AngularGrid(n_azim=7201, n_elev=3600, elev_half_span_rad=HALF_PI)
     with pytest.raises(ValueError, match="even"):
-        AngularGrid(n_azim=7200, n_elev=3601)
+        AngularGrid(n_azim=7200, n_elev=3601, elev_half_span_rad=HALF_PI)
     with pytest.raises(ValueError):
-        AngularGrid(n_azim=0, n_elev=3600)
+        AngularGrid(n_azim=0, n_elev=3600, elev_half_span_rad=HALF_PI)
     with pytest.raises(ValueError):
         AngularGrid(n_azim=7200, n_elev=3600, elev_half_span_rad=0.0)
 
@@ -54,9 +56,9 @@ def test_value_types(check_value_type):
     check_value_type(
         AngularGrid, {"n_azim": 8, "n_elev": 4, "elev_half_span_rad": 1.5},
         "AngularGrid(n_azim=8, n_elev=4, elev_half_span_rad=1.5)",
-        {"n_azim": 8, "n_elev": 3}, "n_elev must be even so 0 is on the grid, got 3",
+        {"n_azim": 8, "n_elev": 3, "elev_half_span_rad": 1.5}, "n_elev must be even so 0 is on the grid, got 3",
     )
-    assert AngularGrid(8, 4) == AngularGrid(n_azim=8, n_elev=4, elev_half_span_rad=math.pi / 2)
+    assert AngularGrid(8, 4, HALF_PI) == AngularGrid(n_azim=8, n_elev=4, elev_half_span_rad=HALF_PI)
     check_value_type(
         McConfig, {"n_paths": 4, "n_realizations": 100, "seed": 7},
         "McConfig(n_paths=4, n_realizations=100, seed=7)",
@@ -67,7 +69,7 @@ def test_value_types(check_value_type):
 
 def test_sampled_pattern_is_an_immutable_identity_value():
     # its shapes are arrays, so equality and hash go by identity
-    grid = AngularGrid(n_azim=4, n_elev=2)
+    grid = AngularGrid(n_azim=4, n_elev=2, elev_half_span_rad=HALF_PI)
     elev, azim = np.array([0.5, 1.0]), np.array([0.0, 1.0, 0.5, 0.25])
     pattern = oracle.SampledPattern(grid, 2.0, elev, azim)
     twin = oracle.SampledPattern(grid=grid, peak_power=2.0, elev_shape=elev, azim_shape=azim)
@@ -86,7 +88,7 @@ def test_sampled_pattern_is_an_immutable_identity_value():
 
 
 def test_grid_samples_cover_axes():
-    grid = AngularGrid(n_azim=720, n_elev=360)
+    grid = AngularGrid(n_azim=720, n_elev=360, elev_half_span_rad=HALF_PI)
     azim = grid.azim_samples()
     elev = grid.elev_samples()
     assert azim[0] == pytest.approx(-math.pi)
@@ -98,7 +100,7 @@ def test_grid_samples_cover_axes():
 
 
 def test_grid_for_default_spacing():
-    grid = grid_for(bw_elev_rad=30 * DEG, bw_azim_rad=30 * DEG)
+    grid = grid_for(bw_elev_rad=30 * DEG, bw_azim_rad=30 * DEG, spread=NO_SPREAD)
     assert grid.n_azim == 7200
     assert grid.azim_spacing == pytest.approx(0.05 * DEG, rel=1e-12)
     assert grid.elev_half_span_rad == pytest.approx(
@@ -107,7 +109,7 @@ def test_grid_for_default_spacing():
 
 
 def test_grid_for_refines_for_narrow_features():
-    narrow_beam = grid_for(bw_elev_rad=0.1 * DEG, bw_azim_rad=0.1 * DEG)
+    narrow_beam = grid_for(bw_elev_rad=0.1 * DEG, bw_azim_rad=0.1 * DEG, spread=NO_SPREAD)
     assert narrow_beam.azim_spacing <= 0.1 * DEG / 8 * (1 + 1e-12)
 
     narrow_spread = grid_for(
@@ -126,25 +128,25 @@ def test_grid_for_rejects_elevation_past_the_cap_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(GridResolutionError, match="elevation needs 316027492 samples"):
-            grid_for(element.bw_elev_rad / 10_000_000, element.bw_azim_rad)
+            grid_for(element.bw_elev_rad / 10_000_000, element.bw_azim_rad, NO_SPREAD)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20
     # a width so large its span overflows names no finite count
     with pytest.raises(GridResolutionError, match="needs inf samples"):
-        grid_for(1e308, 1.0)
+        grid_for(1e308, 1.0, NO_SPREAD)
     # a span of pi at spacing bw / 8 takes 8 pi / bw samples: just under
     # the cap is still a grid, just over it is refused
-    assert 1_998_000 <= grid_for(8.0 * math.pi / 1_999_000, 1.0).n_elev <= 2_000_000
+    assert 1_998_000 <= grid_for(8.0 * math.pi / 1_999_000, 1.0, NO_SPREAD).n_elev <= 2_000_000
     with pytest.raises(GridResolutionError, match="elevation needs 200100[0-9] samples"):
-        grid_for(8.0 * math.pi / 2_001_000, 1.0)
+        grid_for(8.0 * math.pi / 2_001_000, 1.0, NO_SPREAD)
 
 
 def test_grid_for_caps_azimuth_past_float_range():
     # 2 pi / (bw / 8) overflows to inf for a subnormal width; the cap
     # applies before rounding, so this is a capped grid, not an OverflowError
-    assert grid_for(1.0, 1e-320).n_azim == 2_000_000
+    assert grid_for(1.0, 1e-320, NO_SPREAD).n_azim == 2_000_000
 
 
 def test_fast_counts_match_a_brute_force_search():
@@ -214,7 +216,7 @@ def test_fast_grid_convolution_matches_exact_counts(spread_deg):
 
 def test_gaussian_pattern_peak_and_symmetry():
     bw = 10 * DEG
-    pattern = gaussian_pattern_sampled(bw, bw, grid_for(bw, bw))
+    pattern = gaussian_pattern_sampled(bw, bw, grid_for(bw, bw, NO_SPREAD))
     assert pattern.peak_power == 2.0 / (bw * bw)
     # the table is peak_power times the two shapes, so its maximum is the
     # peak exactly when each shape peaks at 1
@@ -227,7 +229,7 @@ def test_gaussian_pattern_peak_and_symmetry():
 
 def test_gaussian_pattern_peak_scales_exactly():
     bw = 5 * DEG
-    grid = grid_for(bw, bw)
+    grid = grid_for(bw, bw, NO_SPREAD)
     single = gaussian_pattern_sampled(bw, bw, grid)
     double = gaussian_pattern_sampled(2 * bw, 2 * bw, grid)
     assert double.peak_power == single.peak_power / 4.0
@@ -255,13 +257,13 @@ def _rms_widths(pattern):
 def test_gaussian_pattern_total_power_is_4pi():
     for bw_deg in (2.0, 10.0, 30.0):
         bw = bw_deg * DEG
-        pattern = gaussian_pattern_sampled(bw, bw, grid_for(bw, bw))
+        pattern = gaussian_pattern_sampled(bw, bw, grid_for(bw, bw, NO_SPREAD))
         assert _total_power(pattern) == pytest.approx(4 * math.pi, rel=1e-6)
 
 
 def test_gaussian_pattern_marginals():
     bw_elev, bw_azim = 6 * DEG, 14 * DEG
-    grid = grid_for(bw_elev, bw_azim)
+    grid = grid_for(bw_elev, bw_azim, NO_SPREAD)
     pattern = gaussian_pattern_sampled(bw_elev, bw_azim, grid)
     elev_area = float(pattern.elev_shape.sum()) * grid.elev_spacing
     azim_area = float(pattern.azim_shape.sum()) * grid.azim_spacing
@@ -270,14 +272,14 @@ def test_gaussian_pattern_marginals():
 
 
 def test_gaussian_pattern_rejects_coarse_grid():
-    coarse = AngularGrid(n_azim=720, n_elev=720)  # 0.5 deg azimuth spacing
+    coarse = AngularGrid(n_azim=720, n_elev=720, elev_half_span_rad=HALF_PI)  # 0.5 deg azimuth spacing
     with pytest.raises(GridResolutionError, match="grid too coarse"):
         gaussian_pattern_sampled(1 * DEG, 1 * DEG, coarse)
 
 
 def test_fitted_rms_widths_recover_the_gaussian():
     bw_elev, bw_azim = 4 * DEG, 9 * DEG
-    pattern = gaussian_pattern_sampled(bw_elev, bw_azim, grid_for(bw_elev, bw_azim))
+    pattern = gaussian_pattern_sampled(bw_elev, bw_azim, grid_for(bw_elev, bw_azim, NO_SPREAD))
     fitted_elev, fitted_azim = _rms_widths(pattern)
     assert fitted_elev == pytest.approx(bw_elev, rel=1e-3)
     assert fitted_azim == pytest.approx(bw_azim, rel=1e-3)
@@ -287,7 +289,7 @@ def test_fitted_rms_widths_recover_the_gaussian():
 
 def test_convolution_zero_spread_is_identity():
     bw = 8 * DEG
-    pattern = gaussian_pattern_sampled(bw, bw, grid_for(bw, bw))
+    pattern = gaussian_pattern_sampled(bw, bw, grid_for(bw, bw, NO_SPREAD))
     assert convolve_effective_pattern(pattern, AngularSpread(0.0, 0.0)) is pattern
 
 
@@ -342,7 +344,7 @@ def test_convolution_matches_closed_form_reference():
 
 def test_convolution_rejects_under_resolved_spread():
     bw = 10 * DEG
-    grid = grid_for(bw, bw)  # 0.05 deg spacing, no spread refinement
+    grid = grid_for(bw, bw, NO_SPREAD)  # 0.05 deg spacing, no spread refinement
     nominal = gaussian_pattern_sampled(bw, bw, grid)
     thin = AngularSpread(zsd_rad=0.0, asd_rad=0.04 * DEG)
     with pytest.raises(GridResolutionError, match="grid too coarse for spread"):
@@ -383,7 +385,7 @@ def test_monte_carlo_zero_spread_draws_nothing(monkeypatch):
     monkeypatch.setattr(oracle.np.random, "Generator", no_generator)
     element = element_pattern_from_gain(5.0)
     geom = ArrayGeometry(16, 16)
-    config = McConfig(n_paths=20, n_realizations=10**9, seed=3)
+    config = McConfig(n_paths=20, n_realizations=oracle._MC_MAX_DRAWS // 20, seed=3)
     assert monte_carlo_effective_gain(element, geom, AngularSpread(0.0, 0.0), config) == (
         nominal_beamwidths(element, geom).gain_linear, 0.0
     )
@@ -562,6 +564,14 @@ def test_mc_config_validation():
         McConfig(seed=-1)
     with pytest.raises(ValueError):
         McConfig(seed=2 ** 64)
+
+
+def test_mc_config_bounds_the_draws():
+    # 2**25 draws take seconds; 10**12 would take weeks
+    assert McConfig(n_paths=1, n_realizations=2**25).n_realizations == 2**25
+    assert McConfig(n_paths=2**5, n_realizations=2**20).n_paths == 2**5
+    with pytest.raises(ValueError, match=r"^n_paths \* n_realizations must be at most 33554432, got 1 \* 33554433$"):
+        McConfig(n_paths=1, n_realizations=2**25 + 1)
 
 
 def test_mc_config_paths_fit_one_chunk():

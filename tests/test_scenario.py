@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from arraygain import ArrayGeometry, MeasurementError, ScenarioError
+from arraygain import ArrayGeometry, MeasurementError, ScenarioError, max_elements_for_eirp
 from arraygain.scenario import (
     MEASUREMENT_HEADER,
     Scenario,
@@ -45,10 +45,9 @@ def test_scenario_element_forms():
     by_widths = Scenario(bw_elev_deg=45.0, bw_azim_deg=45.0)
     element = by_widths.element()
     assert element.bw_elev_rad == pytest.approx(math.radians(45.0), rel=1e-12)
-    # derived gain survives a round trip through the element pattern
-    assert by_widths.element_gain_dbi_value() == pytest.approx(
-        10.0 * math.log10(element.gain_linear), rel=1e-12
-    )
+    # an EIRP cap sizes the array from the gain the widths give
+    capped = Scenario(bw_elev_deg=45.0, bw_azim_deg=45.0, eirp_dbm=43.0, per_element_power_dbm=10.0)
+    assert capped.budget() == max_elements_for_eirp(43.0, 10.0, 10.0 * math.log10(element.gain_linear))
 
 
 def test_scenario_rejects_bad_element_descriptions():
