@@ -330,7 +330,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     mc_err = abs(mc_gain - analytic.effective_gain_linear)
     mc_ok = mc_err <= 3.0 * mc_se
     se_db = linear_to_db(mc_gain + mc_se) - linear_to_db(mc_gain)
-    # a zero SE comes with an exact gain (zero spread)
+    # a zero SE: z is 0 for an exact gain, inf for any other
     z_score = mc_err / mc_se if mc_se > 0.0 else (math.inf if mc_err else 0.0)
     conv_ok = abs(conv_delta) <= 0.2
 

@@ -56,7 +56,8 @@ def test_value_types(check_value_type):
     check_value_type(
         AngularGrid, {"n_azim": 8, "n_elev": 4, "elev_half_span_rad": 1.5},
         "AngularGrid(n_azim=8, n_elev=4, elev_half_span_rad=1.5)",
-        {"n_azim": 8, "n_elev": 3, "elev_half_span_rad": 1.5}, "n_elev must be even so 0 is on the grid, got 3",
+        {"n_azim": 8, "n_elev": 3, "elev_half_span_rad": 1.5},
+        "n_elev must be even so 0 is on the grid, got 3",
     )
     assert AngularGrid(8, 4, HALF_PI) == AngularGrid(n_azim=8, n_elev=4, elev_half_span_rad=HALF_PI)
     check_value_type(
@@ -570,7 +571,8 @@ def test_mc_config_bounds_the_draws():
     # 2**25 draws take seconds; 10**12 would take weeks
     assert McConfig(n_paths=1, n_realizations=2**25).n_realizations == 2**25
     assert McConfig(n_paths=2**5, n_realizations=2**20).n_paths == 2**5
-    with pytest.raises(ValueError, match=r"^n_paths \* n_realizations must be at most 33554432, got 1 \* 33554433$"):
+    refusal = r"^n_paths \* n_realizations must be at most 33554432, got 1 \* 33554433$"
+    with pytest.raises(ValueError, match=refusal):
         McConfig(n_paths=1, n_realizations=2**25 + 1)
 
 
