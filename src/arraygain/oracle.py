@@ -187,25 +187,40 @@ def gaussian_pattern_sampled(
             "grid too coarse: spacing (%.4g, %.4g) rad exceeds beamwidth/8 (%.4g, %.4g) rad"
             % (grid.elev_spacing, grid.azim_spacing, bw_elev_rad / 8.0, bw_azim_rad / 8.0)
         )
-    elev = np.exp(-(grid.elev_samples() ** 2) / (2.0 * bw_elev_rad**2))
-    azim = np.exp(-(grid.azim_samples() ** 2) / (2.0 * bw_azim_rad**2))
+    elev = _gaussian(grid.elev_samples(), bw_elev_rad)
+    azim = _gaussian(grid.azim_samples(), bw_azim_rad)
+    elev /= elev.max()
+    azim /= azim.max()
     return SampledPattern(
-        grid=grid,
-        peak_power=2.0 / (bw_elev_rad * bw_azim_rad),
-        elev_shape=elev / elev.max(),
-        azim_shape=azim / azim.max(),
+        grid=grid, peak_power=2.0 / (bw_elev_rad * bw_azim_rad), elev_shape=elev, azim_shape=azim
     )
+
+
+def _gaussian(x: np.ndarray, sigma: float) -> np.ndarray:
+    # exp(-(x**2) / (2 sigma**2)), in place; a / -b is -(a) / b exactly
+    np.square(x, out=x)
+    x /= -2.0 * sigma**2
+    return np.exp(x, out=x)
 
 
 def _circular_blur(shape: np.ndarray, spacing: float, sigma: float) -> np.ndarray:
     n = shape.size
-    # Gaussian kernel laid out at index 0 by wrapped distance; unit
-    # discrete sum makes the convolution conserve the pattern's total
-    offsets = np.minimum(np.arange(n), n - np.arange(n)) * spacing
-    kernel = np.exp(-(offsets**2) / (2.0 * sigma**2))
+    # Gaussian kernel laid out at index 0 by signed wrapped distance, i - n
+    # past the middle; unit discrete sum makes the convolution conserve the total
+    kernel = np.arange(n, dtype=float)
+    kernel[n // 2 + 1 :] -= n
+    kernel *= spacing
+    kernel = _gaussian(kernel, sigma)
     kernel /= kernel.sum()
-    out = np.fft.irfft(np.fft.rfft(shape) * np.fft.rfft(kernel), n)
-    return np.maximum(out, 0.0)
+    # the kernel is freed before the shape's spectrum is taken, and that
+    # spectrum takes the product: two n-sized arrays at most beside the shape
+    spectrum = np.fft.rfft(kernel)
+    del kernel
+    product = np.fft.rfft(shape)
+    product *= spectrum
+    del spectrum
+    out = np.fft.irfft(product, n)
+    return np.maximum(out, 0.0, out=out)
 
 
 def convolve_effective_pattern(nominal: SampledPattern, spread: AngularSpread) -> SampledPattern:
@@ -257,8 +272,8 @@ def convolve_effective_pattern(nominal: SampledPattern, spread: AngularSpread) -
     )
 
 
-# Draws per variate in one chunk: memory is O(chunk) whatever the
-# realization count, and a run of at most this many draws is one chunk.
+# Draws per variate in one chunk, whose path amplitudes (2 MiB) are held at
+# once whatever the realization count; a run of at most this many is one chunk
 _MC_CHUNK_DRAWS = 2**18
 
 
@@ -298,8 +313,9 @@ class McConfig(Value):
         setfield(self, "seed", seed)
 
 
-# Draws per variate in one block of arithmetic, sized so that a block's
-# dozen temporaries stay in L2 cache
+# Draws in one block: each variate is drawn a block at a time into one
+# reused buffer, and the phasor arithmetic runs a block at a time, sized
+# so that a block's dozen temporaries stay in L2 cache
 _MC_BLOCK_DRAWS = 2**13
 
 
@@ -343,7 +359,8 @@ def monte_carlo_effective_gain(
     arrays gave 158.9552 +/- 1.2943 and two chunks give
     156.5441 +/- 1.2590, about one SE either side of the closed form's
     157.9044.
-    Memory is O(2**18) draws whatever the realization count.
+    Memory is one chunk's 2**18 path amplitudes (2 MiB) plus blocks of
+    max(2**13, n_paths) floats, whatever the realization count.
     """
     nominal = nominal_beamwidths(element, geom)
     gain0 = nominal.gain_linear
@@ -354,7 +371,23 @@ def monte_carlo_effective_gain(
     n_paths, n_real = config.n_paths, config.n_realizations
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     chunk_rows = min(n_real, _MC_CHUNK_DRAWS // n_paths)
-    draws = np.empty((3, chunk_rows, n_paths))
+    block_rows = min(chunk_rows, max(1, _MC_BLOCK_DRAWS // n_paths))
+    # amplitude relative to boresight, sqrt(g(dir) / g(0)), is
+    # exp(c_azim * azim**2 + c_elev * elev**2) for standard normal azim and
+    # elev, with c = -(spread / 2 bw)**2; an axis with zero spread adds
+    # nothing, though its draws are still made
+    coeffs = []
+    for sigma, bw in ((spread.asd_rad, nominal.bw_azim_rad), (spread.zsd_rad, nominal.bw_elev_rad)):
+        r = sigma / (2.0 * bw)
+        coeffs.append(-(r * r) if sigma > 0.0 else None)
+    first = 0 if coeffs[0] is not None else 1
+    # a chunk's amplitudes and a block's terms hold paths along their first
+    # axis, so path sums add whole rows; draws fill (realization, path) blocks
+    amp = np.empty((n_paths, chunk_rows))
+    draws = np.empty((block_rows, n_paths))
+    tmp = np.empty((2, n_paths, block_rows))
+    terms = np.empty((4, n_paths, block_rows))
+    path_sums = np.empty((4, block_rows))
     power = np.empty((2, chunk_rows))
     # sums over realizations of received, flat, d, d*d, d*flat and
     # flat*flat, where d = received - rho0 * flat and rho0 is the first
@@ -368,94 +401,69 @@ def monte_carlo_effective_gain(
     rho0 = None
     for start in range(0, n_real, chunk_rows):
         rows = min(chunk_rows, n_real - start)
-        azim, elev, phase = draws[:, :rows]
-        # normal(0, s) and uniform(0, 2 pi) are these standard draws scaled
-        rng.standard_normal(out=azim)
-        rng.standard_normal(out=elev)
-        rng.random(out=phase)
+        blocks = [(b0, min(rows, b0 + block_rows)) for b0 in range(0, rows, block_rows)]
+        # all the chunk's azimuths, then all its elevations; consecutive
+        # fills of a buffer draw the numbers of one fill of the whole
+        for axis, c in enumerate(coeffs):
+            for b0, b1 in blocks:
+                block = draws[: b1 - b0]
+                rng.standard_normal(out=block)
+                if c is None:
+                    continue
+                np.square(block, out=block)
+                block *= c
+                if axis == first:
+                    amp[:, b0:b1] = block.T
+                else:
+                    amp[:, b0:b1] += block.T
+        # then its phases, each block's into received and flat power, times
+        # n_paths (the ratio and its se do not see the scale)
         received, flat = power[:, :rows]
-        _chunk_powers(azim, elev, phase, nominal, spread, received, flat)
+        for b0, b1 in blocks:
+            n = b1 - b0
+            phase = draws[:n]
+            # uniform(0, 2 pi) is this standard draw scaled
+            rng.random(out=phase)
+            a, t, w = amp[:, b0:b1], tmp[0, :, :n], tmp[1, :, :n]
+            T, S = terms[:, :, :n], path_sums[:, :n]
+            np.exp(a, out=a)
+            # unit phasor of phase - pi, whose sign drops out of every |sum|**2,
+            # from t = tan(phase / 4 - pi / 4) in [-1, 1] by two double-angle
+            # steps: with w = 4 / (1 + t**2)**2, cos = 1 - 2 t**2 w and
+            # sin = t (1 - t**2) w.  numpy vectorizes tan, not cos and sin: for
+            # 2e5 draws on an AVX-512 Xeon, 0.5 ms against 7.6 ms for the pair
+            np.subtract(phase.T, 0.5, out=t)
+            t *= 0.5 * math.pi
+            np.tan(t, out=t)
+            cos, sin = T[2], T[3]
+            np.multiply(t, t, out=cos)
+            np.subtract(1.0, cos, out=sin)
+            sin *= t
+            np.add(cos, 1.0, out=w)
+            w *= w
+            np.divide(4.0, w, out=w)
+            sin *= w
+            cos *= w
+            cos *= -2.0
+            cos += 1.0
+            # received sums amplitude * phasor over paths, flat the bare phasor
+            np.multiply(T[2:], a, out=T[:2])
+            np.add.reduce(T, axis=1, out=S)
+            S *= S
+            np.add(S[0], S[1], out=received[b0:b1])
+            np.add(S[2], S[3], out=flat[b0:b1])
         if rho0 is None:
             rho0 = float(received.sum()) / float(flat.sum())
         d = received - rho0 * flat
         parts = (received, flat, d, d * d, d * flat, flat * flat)
         sums = [total + float(part.sum()) for total, part in zip(sums, parts)]
+        # the next chunk's blocks run without this one's sum arrays
+        del d, parts
     s_received, s_flat, s_d, s_dd, s_df, s_ff = sums
     e = s_d / s_flat
     s_residual = max(0.0, s_dd - e * (2.0 * s_df - e * s_ff))
     # se of the ratio of means: sqrt(mean(residual**2) / n) / mean(flat)
     return gain0 * (s_received / s_flat), gain0 * (math.sqrt(s_residual) / s_flat)
-
-
-def _chunk_powers(
-    azim: np.ndarray,
-    elev: np.ndarray,
-    phase: np.ndarray,
-    nominal: ElementPattern,
-    spread: AngularSpread,
-    received: np.ndarray,
-    flat: np.ndarray,
-) -> None:
-    # Per-realization received and flat power, times n_paths (the ratio
-    # and its se do not see the scale), of standard normal azim/elev and
-    # [0, 1) phase draws, (realizations, paths) each, with at least one
-    # spread nonzero.  Blocks hold paths along their first axis, so path
-    # sums add whole rows.
-    n_real, n_paths = azim.shape
-    block_rows = min(n_real, max(1, _MC_BLOCK_DRAWS // n_paths))
-    # amplitude relative to boresight, sqrt(g(dir) / g(0)), is
-    # exp(azim**2 * c_azim + elev**2 * c_elev) with c = -(spread / 2 bw)**2;
-    # an axis with zero spread adds nothing
-    axes = []
-    for draws, sigma, bw in (
-        (azim, spread.asd_rad, nominal.bw_azim_rad),
-        (elev, spread.zsd_rad, nominal.bw_elev_rad),
-    ):
-        if sigma > 0.0:
-            r = sigma / (2.0 * bw)
-            axes.append((draws, -(r * r)))
-    (first, c_first), *rest = axes
-    amp = np.empty((n_paths, block_rows))
-    tmp = np.empty((2, n_paths, block_rows))
-    terms = np.empty((4, n_paths, block_rows))
-    path_sums = np.empty((4, block_rows))
-    for b0 in range(0, n_real, block_rows):
-        b1 = min(n_real, b0 + block_rows)
-        n = b1 - b0
-        a, t, w = amp[:, :n], tmp[0, :, :n], tmp[1, :, :n]
-        T, S = terms[:, :, :n], path_sums[:, :n]
-        np.square(first[b0:b1].T, out=a)
-        a *= c_first
-        for draws, c in rest:
-            np.square(draws[b0:b1].T, out=t)
-            t *= c
-            a += t
-        np.exp(a, out=a)
-        # unit phasor of phase - pi, whose sign drops out of every |sum|**2,
-        # from t = tan(phase / 4 - pi / 4) in [-1, 1] by two double-angle
-        # steps: with w = 4 / (1 + t**2)**2, cos = 1 - 2 t**2 w and
-        # sin = t (1 - t**2) w.  numpy vectorizes tan, not cos and sin: for
-        # 2e5 draws on an AVX-512 Xeon, 0.5 ms against 7.6 ms for the pair
-        np.subtract(phase[b0:b1].T, 0.5, out=t)
-        t *= 0.5 * math.pi
-        np.tan(t, out=t)
-        cos, sin = T[2], T[3]
-        np.multiply(t, t, out=cos)
-        np.subtract(1.0, cos, out=sin)
-        sin *= t
-        np.add(cos, 1.0, out=w)
-        w *= w
-        np.divide(4.0, w, out=w)
-        sin *= w
-        cos *= w
-        cos *= -2.0
-        cos += 1.0
-        # received sums amplitude * phasor over paths, flat the bare phasor
-        np.multiply(T[2:], a, out=T[:2])
-        np.add.reduce(T, axis=1, out=S)
-        S *= S
-        np.add(S[0], S[1], out=received[b0:b1])
-        np.add(S[2], S[3], out=flat[b0:b1])
 
 
 def _main_lobe_width(power: np.ndarray, du: float) -> float:
@@ -475,12 +483,17 @@ def _main_lobe_width(power: np.ndarray, du: float) -> float:
 
 def _array_factor_power(k: int, u: np.ndarray) -> np.ndarray:
     # |sum_{m<k} exp(j pi m u)|^2 / k^2 = sin^2(k pi u / 2) / (k^2 sin^2(pi u / 2)),
-    # O(n) whatever k is; the 0/0 at u = 0 is the unit peak
-    half = 0.5 * math.pi * u
-    denom = k * np.sin(half)
-    power = np.ones_like(u)
+    # O(n) whatever k is, in two arrays the size of u; the 0/0 at u = 0 is
+    # the unit peak
+    power = u * (0.5 * math.pi)
+    denom = np.sin(power)
+    denom *= k
+    power *= k
+    np.sin(power, out=power)
     off_peak = denom != 0.0
-    power[off_peak] = (np.sin(k * half[off_peak]) / denom[off_peak]) ** 2
+    np.divide(power, denom, out=power, where=off_peak)
+    np.square(power, out=power)
+    power[~off_peak] = 1.0
     return power
 
 
@@ -522,4 +535,10 @@ def upa_array_factor_beamwidth(k_elements_along_axis: int) -> float:
     # one element's pattern is flat, so its lobe is the whole grid and
     # _main_lobe_width reduces to this
     single = _AF_SAMPLES * du / math.sqrt(2.0 * math.pi)
-    return _main_lobe_width(_array_factor_power(k, u), du) / single
+    # the lobe ends at the first null, 2 / k from u = 0: twice that each
+    # side holds the first rise _main_lobe_width looks for, so it sums the
+    # same samples as on the whole grid
+    center = _AF_SAMPLES // 2
+    half_width = min(center, math.ceil(4.0 / (k * du)))
+    window = u[center - half_width : center + half_width + 1]
+    return _main_lobe_width(_array_factor_power(k, window), du) / single

@@ -482,7 +482,8 @@ def test_integer_scan_refuses_budgets_past_1e12(spread_deg):
 
 
 def test_integer_scan_checks_the_budget_once(monkeypatch, spread_deg):
-    # the closed form checks it for both spreads > 0, every other path itself
+    # optimal_geometry_integer checks it first, on every path; the private
+    # closed form it asks for a start checks nothing again
     calls = []
     check = optimize_module._check_budget
 

@@ -352,6 +352,89 @@ def test_convolution_rejects_under_resolved_spread():
         convolve_effective_pattern(nominal, thin)
 
 
+def _reference_gaussian_pattern_sampled(bw_elev_rad, bw_azim_rad, grid):
+    # gaussian_pattern_sampled as it was before it worked in place, kept
+    # verbatim as the reference, checks aside
+    elev = np.exp(-(grid.elev_samples() ** 2) / (2.0 * bw_elev_rad**2))
+    azim = np.exp(-(grid.azim_samples() ** 2) / (2.0 * bw_azim_rad**2))
+    return oracle.SampledPattern(
+        grid=grid,
+        peak_power=2.0 / (bw_elev_rad * bw_azim_rad),
+        elev_shape=elev / elev.max(),
+        azim_shape=azim / azim.max(),
+    )
+
+
+def _reference_circular_blur(shape, spacing, sigma):
+    # _circular_blur as it was before it worked in place, kept verbatim
+    n = shape.size
+    offsets = np.minimum(np.arange(n), n - np.arange(n)) * spacing
+    kernel = np.exp(-(offsets**2) / (2.0 * sigma**2))
+    kernel /= kernel.sum()
+    out = np.fft.irfft(np.fft.rfft(shape) * np.fft.rfft(kernel), n)
+    return np.maximum(out, 0.0)
+
+
+def _assert_same_pattern(got, want):
+    assert got.grid == want.grid and got.peak_power == want.peak_power
+    assert np.array_equal(got.elev_shape, want.elev_shape)
+    assert np.array_equal(got.azim_shape, want.azim_shape)
+
+
+def test_pattern_and_convolution_match_reference_bit_for_bit(monkeypatch):
+    # in-place sampling and blurring do the reference's float operations:
+    # 200 seeded grids of 16 to 2 * 10**5 samples an axis, log-uniform, of
+    # any even count (fast FFT lengths or not), each axis blurred or not
+    rng = random.Random(20261020)
+
+    def count():
+        return 2 * round(math.exp(rng.uniform(math.log(8), math.log(10**5))))
+
+    def spread_on(spacing):
+        # zero, or 2 to 500 samples of the axis
+        return rng.choice([0.0, spacing * math.exp(rng.uniform(math.log(2.0), math.log(500.0)))])
+
+    blurred = 0
+    for _ in range(200):
+        grid = AngularGrid(count(), count(), rng.uniform(HALF_PI, 3.0))
+        bw_elev = grid.elev_spacing * rng.uniform(8.0, 400.0)
+        bw_azim = grid.azim_spacing * rng.uniform(8.0, 400.0)
+        spread = AngularSpread(spread_on(grid.elev_spacing), spread_on(grid.azim_spacing))
+        nominal = gaussian_pattern_sampled(bw_elev, bw_azim, grid)
+        reference = _reference_gaussian_pattern_sampled(bw_elev, bw_azim, grid)
+        _assert_same_pattern(nominal, reference)
+        got = convolve_effective_pattern(nominal, spread)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_circular_blur", _reference_circular_blur)
+            want = convolve_effective_pattern(reference, spread)
+        _assert_same_pattern(got, want)
+        blurred += spread.zsd_rad > 0.0 and spread.asd_rad > 0.0
+    assert blurred >= 30
+
+
+def test_convolution_memory_is_two_axis_arrays():
+    # an elevation axis near the 2,000,000-sample cap, blurred: the blur
+    # holds at most two n-sized float64 arrays beside the shape (the kernel,
+    # then its spectrum of n / 2 + 1 complex values; the two spectra; the
+    # product and its inverse), and the blurred shape and its unit-peak copy
+    # are two more after it.  The nominal pattern is made before tracing; the
+    # azimuth axis, unblurred, adds one 7,200-sample copy.  Bound: two
+    # n-sized arrays and 1 MiB; the parent's blur held four.
+    bw = 8.0 * math.pi / 1_990_000
+    spread = AngularSpread(zsd_rad=bw, asd_rad=0.0)
+    grid = grid_for(bw, 1.0, spread)
+    assert 1_900_000 <= grid.n_elev <= 2_000_000 and grid.n_azim == 7200
+    nominal = gaussian_pattern_sampled(bw, 1.0, grid)
+    tracemalloc.start()
+    try:
+        effective = convolve_effective_pattern(nominal, spread)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * grid.n_elev + 2**20
+    assert effective.elev_shape.size == grid.n_elev
+
+
 # --- Monte-Carlo oracle -------------------------------------------------
 
 def test_monte_carlo_is_deterministic():
@@ -536,19 +619,157 @@ def test_monte_carlo_chunks_match_two_pass(monkeypatch, zsd_deg, asd_deg):
         assert got[0] != _reference_monte_carlo(element, geom, spread, config)[0]
 
 
+def _three_buffer_monte_carlo(element, geom, spread, config, chunk_draws, block_draws):
+    # monte_carlo_effective_gain as it was before it streamed its draws,
+    # kept verbatim as the bit-for-bit reference: each chunk drew all its
+    # azimuths, elevations and phases into one (3, rows, paths) buffer, then
+    # ran the arithmetic block by block in _three_buffer_chunk_powers
+    nominal = nominal_beamwidths(element, geom)
+    gain0 = nominal.gain_linear
+    if spread.is_zero:
+        return gain0, 0.0
+    n_paths, n_real = config.n_paths, config.n_realizations
+    rng = np.random.Generator(np.random.Philox(key=config.seed))
+    chunk_rows = min(n_real, chunk_draws // n_paths)
+    draws = np.empty((3, chunk_rows, n_paths))
+    power = np.empty((2, chunk_rows))
+    sums = [0.0] * 6
+    rho0 = None
+    for start in range(0, n_real, chunk_rows):
+        rows = min(chunk_rows, n_real - start)
+        azim, elev, phase = draws[:, :rows]
+        rng.standard_normal(out=azim)
+        rng.standard_normal(out=elev)
+        rng.random(out=phase)
+        received, flat = power[:, :rows]
+        _three_buffer_chunk_powers(azim, elev, phase, nominal, spread, received, flat, block_draws)
+        if rho0 is None:
+            rho0 = float(received.sum()) / float(flat.sum())
+        d = received - rho0 * flat
+        parts = (received, flat, d, d * d, d * flat, flat * flat)
+        sums = [total + float(part.sum()) for total, part in zip(sums, parts)]
+    s_received, s_flat, s_d, s_dd, s_df, s_ff = sums
+    e = s_d / s_flat
+    s_residual = max(0.0, s_dd - e * (2.0 * s_df - e * s_ff))
+    return gain0 * (s_received / s_flat), gain0 * (math.sqrt(s_residual) / s_flat)
+
+
+def _three_buffer_chunk_powers(azim, elev, phase, nominal, spread, received, flat, block_draws):
+    n_real, n_paths = azim.shape
+    block_rows = min(n_real, max(1, block_draws // n_paths))
+    axes = []
+    for draws, sigma, bw in (
+        (azim, spread.asd_rad, nominal.bw_azim_rad),
+        (elev, spread.zsd_rad, nominal.bw_elev_rad),
+    ):
+        if sigma > 0.0:
+            r = sigma / (2.0 * bw)
+            axes.append((draws, -(r * r)))
+    (first, c_first), *rest = axes
+    amp = np.empty((n_paths, block_rows))
+    tmp = np.empty((2, n_paths, block_rows))
+    terms = np.empty((4, n_paths, block_rows))
+    path_sums = np.empty((4, block_rows))
+    for b0 in range(0, n_real, block_rows):
+        b1 = min(n_real, b0 + block_rows)
+        n = b1 - b0
+        a, t, w = amp[:, :n], tmp[0, :, :n], tmp[1, :, :n]
+        T, S = terms[:, :, :n], path_sums[:, :n]
+        np.square(first[b0:b1].T, out=a)
+        a *= c_first
+        for draws, c in rest:
+            np.square(draws[b0:b1].T, out=t)
+            t *= c
+            a += t
+        np.exp(a, out=a)
+        np.subtract(phase[b0:b1].T, 0.5, out=t)
+        t *= 0.5 * math.pi
+        np.tan(t, out=t)
+        cos, sin = T[2], T[3]
+        np.multiply(t, t, out=cos)
+        np.subtract(1.0, cos, out=sin)
+        sin *= t
+        np.add(cos, 1.0, out=w)
+        w *= w
+        np.divide(4.0, w, out=w)
+        sin *= w
+        cos *= w
+        cos *= -2.0
+        cos += 1.0
+        np.multiply(T[2:], a, out=T[:2])
+        np.add.reduce(T, axis=1, out=S)
+        S *= S
+        np.add(S[0], S[1], out=received[b0:b1])
+        np.add(S[2], S[3], out=flat[b0:b1])
+
+
+def test_monte_carlo_matches_three_buffer_kernel_bit_for_bit(monkeypatch):
+    # drawing a block at a time into one buffer gives the numbers of one
+    # fill a variate, and the arithmetic is the reference's: 320 seeded
+    # configs, at the module's chunk and block sizes and at 2**10 / 2**7
+    rng = random.Random(20261021)
+
+    def spread_rad():
+        # zero, 1e-5 deg, or log-uniform over 0.01..30 deg
+        pick = rng.random()
+        if pick < 0.2:
+            return 0.0
+        if pick < 0.3:
+            return math.radians(1e-5)
+        return math.radians(math.exp(rng.uniform(math.log(0.01), math.log(30.0))))
+
+    # several whole chunks and a part one; one chunk exactly; one path a
+    # realization; more paths than a block holds
+    shapes = [(7, 50_000), (20, 2**18 // 20), (1, 3 * 2**18 + 5), (2**14, 3)]
+    kinds = {"zero": 0, "one-sided": 0, "tiny": 0, "multi-chunk": 0}
+    for case in range(320):
+        small = case % 2 == 1
+        chunk_draws, block_draws = (2**10, 2**7) if small else (2**18, 2**13)
+        monkeypatch.setattr(oracle, "_MC_CHUNK_DRAWS", chunk_draws)
+        monkeypatch.setattr(oracle, "_MC_BLOCK_DRAWS", block_draws)
+        element = ElementPattern(
+            bw_elev_rad=math.radians(rng.uniform(1.0, 30.0)),
+            bw_azim_rad=math.radians(rng.uniform(1.0, 30.0)),
+        )
+        geom = ArrayGeometry(rng.randint(1, 64), rng.randint(1, 16))
+        spread = AngularSpread(spread_rad(), spread_rad())
+        if case < 2 * len(shapes) and not small:
+            n_paths, n_realizations = shapes[case // 2]
+        else:
+            # now and then more paths than a 2**7 block holds
+            n_paths = rng.randint(1, 150 if case % 10 == 1 else 40)
+            n_realizations = rng.randint(2, 400 if small else 2000)
+        n_paths = min(n_paths, chunk_draws)
+        config = McConfig(n_paths=n_paths, n_realizations=n_realizations, seed=rng.getrandbits(64))
+
+        got = monte_carlo_effective_gain(element, geom, spread, config)
+        assert got == _three_buffer_monte_carlo(element, geom, spread, config, chunk_draws, block_draws)
+        kinds["zero"] += spread.is_zero
+        kinds["one-sided"] += (spread.zsd_rad == 0.0) != (spread.asd_rad == 0.0)
+        kinds["tiny"] += math.radians(1e-5) in (spread.zsd_rad, spread.asd_rad)
+        kinds["multi-chunk"] += n_realizations > chunk_draws // n_paths and not spread.is_zero
+    assert min(kinds.values()) >= 10, kinds
+
+
 def test_monte_carlo_memory_is_bounded():
-    # 2 * 10**7 draws a variate in chunks of 2**18; the old layout held
-    # about 1.2 KiB a realization, over 1 GiB here
+    # 2 * 10**7 draws a variate, in chunks of 13,107 realizations of 20
+    # paths.  A chunk holds its path amplitudes, 2**18 * 8 B = 2 MiB, its
+    # received and flat powers and the four arrays of its sums, 6 * 13,107
+    # * 8 B = 0.6 MiB, and seven block buffers of 409 * 20 floats, 0.45
+    # MiB: 3.05 MiB, so 4 MiB.  The three-buffer chunks held 8 MiB, and the
+    # layout before chunking about 1.2 KiB a realization, over 1 GiB here.
     element = element_pattern_from_gain(5.0)
     spread = AngularSpread(zsd_rad=0.6 * DEG, asd_rad=14 * DEG)
     config = McConfig(n_paths=20, n_realizations=1_000_000, seed=1)
+    # the first call imports numpy.random, which is no part of the run
+    monte_carlo_effective_gain(element, ArrayGeometry(16, 16), spread, McConfig(2, 2))
     tracemalloc.start()
     try:
         estimate, stderr = monte_carlo_effective_gain(element, ArrayGeometry(16, 16), spread, config)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20
+    assert peak < 4 * 2**20
     analytic = effective_gain(element, ArrayGeometry(16, 16), spread).effective_gain_linear
     assert 0.0 < stderr and abs(estimate - analytic) <= 4.0 * stderr
 
@@ -621,6 +842,44 @@ def test_array_factor_matches_summed_form():
         assert upa_array_factor_beamwidth(k) == pytest.approx(
             _main_lobe_width(_summed_power(k, u), du) / single, rel=1e-12
         )
+
+
+def _full_grid_array_factor_beamwidth(k):
+    # upa_array_factor_beamwidth as it was before it windowed the grid,
+    # with _array_factor_power as it was before it worked in place, kept
+    # verbatim as the reference
+    u = np.linspace(-1.0, 1.0, 200_001)
+    du = u[1] - u[0]
+    half = 0.5 * math.pi * u
+    denom = k * np.sin(half)
+    power = np.ones_like(u)
+    off_peak = denom != 0.0
+    power[off_peak] = (np.sin(k * half[off_peak]) / denom[off_peak]) ** 2
+    single = 200_001 * du / math.sqrt(2.0 * math.pi)
+    return _main_lobe_width(power, du) / single
+
+
+def test_array_factor_window_matches_full_grid_bit_for_bit():
+    # the window of twice the first null each side of u = 0 sums the lobe
+    # the whole grid does: every k up to 200, a stride to the cap, the cap
+    for k in [*range(1, 201), *range(201, 12_500, 97), 12_500]:
+        assert upa_array_factor_beamwidth(k) == _full_grid_array_factor_beamwidth(k), k
+
+
+def test_array_factor_memory_is_one_grid_and_a_window():
+    # k = 32 evaluates the 200,001-sample grid's window of 2 * 12,500 + 1
+    # samples: the grid itself, 8 B a sample, and at most four window-sized
+    # float64 arrays at once (the power, its denominator, and the lobe
+    # search's difference and lobe copy).  The whole-grid evaluation held
+    # about six grid-sized arrays, 9.3 MiB.
+    upa_array_factor_beamwidth(32)
+    tracemalloc.start()
+    try:
+        upa_array_factor_beamwidth(32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 200_001 + 4 * 8 * 25_001
 
 
 def test_array_factor_input_validation():
