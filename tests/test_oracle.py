@@ -739,7 +739,6 @@ def test_monte_carlo_matches_three_buffer_kernel_bit_for_bit(monkeypatch):
             # now and then more paths than a 2**7 block holds
             n_paths = rng.randint(1, 150 if case % 10 == 1 else 40)
             n_realizations = rng.randint(2, 400 if small else 2000)
-        n_paths = min(n_paths, chunk_draws)
         config = McConfig(n_paths=n_paths, n_realizations=n_realizations, seed=rng.getrandbits(64))
 
         got = monte_carlo_effective_gain(element, geom, spread, config)
