@@ -38,7 +38,6 @@ _HOMES = {
     "nominal_beamwidths": "beam",
     "ArrayGainError": "errors",
     "DegenerateElementError": "errors",
-    "DegenerateSpreadError": "errors",
     "EirpTooLowError": "errors",
     "GridResolutionError": "errors",
     "MeasurementError": "errors",
@@ -52,7 +51,6 @@ _HOMES = {
     "ContinuousGeometry": "optimize",
     "OptimizationResult": "optimize",
     "max_elements_for_eirp": "optimize",
-    "optimal_geometry_continuous": "optimize",
     "optimal_geometry_integer": "optimize",
     "AngularGrid": "oracle",
     "McConfig": "oracle",

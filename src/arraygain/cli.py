@@ -398,9 +398,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error[usage]: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
+        return status
     except ArrayGainError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed the pipe (`| head`), not an I/O fault of the tool;
+        # stdout goes to devnull so the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)

@@ -32,13 +32,6 @@ class DegenerateElementError(ArrayGainError):
     code = "element"
 
 
-class DegenerateSpreadError(ArrayGainError):
-    """Spreads the closed-form optimum cannot take: zero on an axis, or a
-    ratio so extreme that its rows or cols is not a normal, finite float."""
-
-    code = "spread"
-
-
 class EirpTooLowError(ArrayGainError):
     """EIRP budget below what a single element already emits."""
 

@@ -42,7 +42,7 @@ from .beam import (
     _upper_bound,
     effective_gain_value,
 )
-from .errors import DegenerateSpreadError, EirpTooLowError, check_positive_float
+from .errors import EirpTooLowError, check_positive_float
 from .value import Value, setfield
 
 
@@ -102,38 +102,6 @@ def _closed_form(n: int, element: ElementPattern, spread: AngularSpread) -> Cont
     return None
 
 
-def optimal_geometry_continuous(
-    n_elements: int, element: ElementPattern, spread: AngularSpread
-) -> ContinuousGeometry:
-    """Closed-form real-valued geometry attaining the gain bound.
-
-    rows = sqrt(N * bw_elev * asd / (bw_azim * zsd)) and cols = N / rows,
-    which makes the nominal beamwidth ratio equal the spread ratio.  It
-    needs no scan, so it also answers budgets past the scan's 10**12.
-
-    Raises
-    ------
-    DegenerateSpreadError
-        If either spread component is zero; the matching condition has
-        no finite solution there.  Use :func:`optimal_geometry_integer`,
-        whose scan handles the degenerate axis naturally.  Also if the
-        spread ratio is so extreme that rows or cols is not a normal,
-        finite float.
-    """
-    _check_budget(n_elements, element, spread)
-    if spread.asd_rad == 0.0 or spread.zsd_rad == 0.0:
-        raise DegenerateSpreadError(
-            "degenerate spread: closed-form geometry needs both spreads > 0"
-        )
-    continuous = _closed_form(n_elements, element, spread)
-    if continuous is None:
-        raise DegenerateSpreadError(
-            f"degenerate spread: asd_rad = {spread.asd_rad!r} and zsd_rad = "
-            f"{spread.zsd_rad!r} put the closed-form geometry beyond float range"
-        )
-    return continuous
-
-
 def _run(n: int, cols: int) -> range:
     # the cols that share rows = N // cols with this one
     rows = n // cols
@@ -147,13 +115,6 @@ def _row_runs(n: int, cols: int = 1) -> Iterator[tuple[int, range]]:
         stop = _run(n, cols).stop
         yield n // cols, range(cols, stop)
         cols = stop
-
-
-def _select(scored: list[tuple[float, int, int]]) -> tuple[float, int, int]:
-    # (gain, rows, cols), at least one: the tallest array whose gain is within
-    # the tolerance of the best, the first listed among equal rows
-    bar = max(gain for gain, _, _ in scored) * (1.0 - _REL_TOL)
-    return max((c for c in scored if c[0] >= bar), key=lambda c: c[1])
 
 
 def _scan_runs(n: int, element: ElementPattern, spread: AngularSpread, start: int) -> tuple[int, int]:
@@ -240,12 +201,14 @@ def optimal_geometry_integer(
         if not allowed_geometries:
             raise ValueError("allowed_geometries is empty")
         _check_fits(allowed_geometries, n_elements)
-        _, rows, cols = _select(
-            [
-                (effective_gain_value(element, geom.rows, geom.cols, spread), geom.rows, geom.cols)
-                for geom in allowed_geometries
-            ]
-        )
+        # the tallest array whose gain is within the tolerance of the best;
+        # max returns the first maximum, so the first listed among equal rows
+        scored = [
+            (effective_gain_value(element, geom.rows, geom.cols, spread), geom.rows, geom.cols)
+            for geom in allowed_geometries
+        ]
+        bar = max(gain for gain, _, _ in scored) * (1.0 - _REL_TOL)
+        _, rows, cols = max((c for c in scored if c[0] >= bar), key=lambda c: c[1])
     elif spread.is_zero:
         # every full-budget geometry ties and the tallest comes first
         rows, cols = n_elements, 1

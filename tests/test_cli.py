@@ -555,6 +555,18 @@ def test_failed_last_flush_removes_the_file(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_closed_pipe_is_not_an_io_error():
+    # `sweep | head -n 1`: a reader that closes the pipe gets no error line
+    sweep = subprocess.Popen(
+        _CMD + ["sweep", "--elements", "200000", *_scenario_flags(_STRONG)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    assert sweep.stdout.readline() == "rows,cols,effective_gain_dbi,is_optimum\n"
+    sweep.stdout.close()
+    _, err = sweep.communicate(timeout=300)
+    assert (sweep.returncode, err) == (1, "")
+
+
 def test_sweep_long_run_is_written_in_blocks(tmp_path):
     # rows = 1 for cols 100001..200000: one run of 10**5 rows, 2 MiB of text
     out = tmp_path / "sweep.csv"

@@ -33,7 +33,6 @@ from arraygain import (
     AngularSpread,
     ArrayGeometry,
     ContinuousGeometry,
-    DegenerateSpreadError,
     EirpTooLowError,
     ElementPattern,
     OptimizationResult,
@@ -41,7 +40,6 @@ from arraygain import (
     effective_gain_value,
     element_pattern_from_gain,
     max_elements_for_eirp,
-    optimal_geometry_continuous,
     optimal_geometry_integer,
 )
 from arraygain import cli
@@ -96,26 +94,25 @@ def test_budget_must_be_an_integer(budget, spread_deg):
     # 2.5 and 256.0 used to fail inside range(), nan as a degenerate spread
     element = element_pattern_from_gain(5.0)
     message = f"n_elements must be a positive integer, got {budget!r}"
-    for optimize in (optimal_geometry_integer, optimal_geometry_continuous):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            optimize(budget, element, spread_deg(5.0, 22.0))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        optimal_geometry_integer(budget, element, spread_deg(5.0, 22.0))
 
 
 # --- continuous optimum -------------------------------------------------
 
 def test_continuous_symmetric_case(spread_deg):
     element = element_pattern_from_gain(5.0)
-    result = optimal_geometry_continuous(256, element, spread_deg(4.0, 4.0))
+    result = optimal_geometry_integer(256, element, spread_deg(4.0, 4.0)).continuous
     assert result.rows_real == pytest.approx(16.0, rel=1e-12)
     assert result.cols_real == pytest.approx(16.0, rel=1e-12)
 
 
 def test_continuous_published_cases(spread_deg):
     element = element_pattern_from_gain(5.0)
-    strong = optimal_geometry_continuous(256, element, spread_deg(5.0, 22.0))
+    strong = optimal_geometry_integer(256, element, spread_deg(5.0, 22.0)).continuous
     assert strong.rows_real == pytest.approx(33.56, abs=0.01)
     assert strong.cols_real == pytest.approx(7.63, abs=0.01)
-    mild = optimal_geometry_continuous(256, element, spread_deg(0.6, 14.0))
+    mild = optimal_geometry_integer(256, element, spread_deg(0.6, 14.0)).continuous
     assert mild.rows_real == pytest.approx(77.3, abs=0.05)
     assert mild.cols_real == pytest.approx(3.31, abs=0.01)
 
@@ -131,7 +128,7 @@ def test_continuous_product_and_matching_condition():
         spread = AngularSpread(
             zsd_rad=float(rng.uniform(1e-4, 0.5)), asd_rad=float(rng.uniform(1e-4, 0.5))
         )
-        result = optimal_geometry_continuous(n, element, spread)
+        result = optimal_geometry_integer(n, element, spread).continuous
         assert result.rows_real * result.cols_real == pytest.approx(n, rel=1e-9)
         bw_elev0 = element.bw_elev_rad / result.rows_real
         bw_azim0 = element.bw_azim_rad / result.cols_real
@@ -151,35 +148,34 @@ def test_continuous_attains_bound():
         spread = AngularSpread(
             zsd_rad=float(rng.uniform(1e-3, 0.5)), asd_rad=float(rng.uniform(1e-3, 0.5))
         )
-        opt = optimal_geometry_continuous(n, element, spread)
+        result = optimal_geometry_integer(n, element, spread)
+        opt = result.continuous
         at_opt = effective_gain_value(element, opt.rows_real, opt.cols_real, spread)
-        bound = optimal_geometry_integer(n, element, spread).bound_gain_linear
+        bound = result.bound_gain_linear
         assert at_opt == pytest.approx(bound, rel=1e-9)
 
 
 def test_continuous_invariant_under_common_spread_scaling(spread_deg):
     element = element_pattern_from_gain(5.0)
-    base = optimal_geometry_continuous(256, element, spread_deg(0.6, 14.0))
-    scaled = optimal_geometry_continuous(
+    base = optimal_geometry_integer(256, element, spread_deg(0.6, 14.0)).continuous
+    scaled = optimal_geometry_integer(
         256, element, AngularSpread(zsd_rad=math.radians(0.6) * 3.7, asd_rad=math.radians(14.0) * 3.7)
-    )
+    ).continuous
     assert scaled.rows_real == pytest.approx(base.rows_real, rel=1e-12)
     assert scaled.cols_real == pytest.approx(base.cols_real, rel=1e-12)
 
 
-def test_continuous_rejects_degenerate_spread(spread_deg):
+def test_continuous_is_none_for_degenerate_spread(spread_deg):
     element = element_pattern_from_gain(5.0)
-    with pytest.raises(DegenerateSpreadError, match="degenerate spread"):
-        optimal_geometry_continuous(256, element, spread_deg(0.0, 14.0))
-    with pytest.raises(DegenerateSpreadError):
-        optimal_geometry_continuous(256, element, spread_deg(0.6, 0.0))
+    assert optimal_geometry_integer(256, element, spread_deg(0.0, 14.0)).continuous is None
+    assert optimal_geometry_integer(256, element, spread_deg(0.6, 0.0)).continuous is None
     # bw_azim * zsd underflows to 0: a ratio past the float range, not ZeroDivisionError
     ten = math.radians(10.0)
-    with pytest.raises(DegenerateSpreadError, match="beyond float range"):
-        optimal_geometry_continuous(
-            256, ElementPattern(bw_elev_rad=ten, bw_azim_rad=ten),
-            AngularSpread(zsd_rad=5e-324, asd_rad=math.radians(20.0)),
-        )
+    result = optimal_geometry_integer(
+        256, ElementPattern(bw_elev_rad=ten, bw_azim_rad=ten),
+        AngularSpread(zsd_rad=5e-324, asd_rad=math.radians(20.0)),
+    )
+    assert result.continuous is None
 
 
 def test_continuous_geometry_validation():
@@ -477,7 +473,11 @@ def test_integer_scan_refuses_budgets_past_1e12(spread_deg):
             optimal_geometry_integer(n, element, spread)
     # nothing to scan: a restricted search, and zero spread, where (N, 1) wins
     allowed = [ArrayGeometry(10**7, 10**6)]
-    assert optimal_geometry_integer(10**13, element, spread, allowed).integer_best == allowed[0]
+    result = optimal_geometry_integer(10**13, element, spread, allowed)
+    assert result.integer_best == allowed[0]
+    # the closed form needs no scan: it is reported past the scan's cap
+    want = math.sqrt(10**13 * element.bw_elev_rad * spread.asd_rad / (element.bw_azim_rad * spread.zsd_rad))
+    assert result.continuous.rows_real == pytest.approx(want, rel=1e-12)
     assert optimal_geometry_integer(10**13, element, spread_deg(0.0, 0.0)).integer_best == ArrayGeometry(10**13, 1)
 
 
