@@ -8,6 +8,7 @@ _refused states once: exit 1, no stdout, one "error[code]: ..." line.
 from __future__ import annotations
 
 import errno
+import gc
 import hashlib
 import io
 import math
@@ -1238,6 +1239,48 @@ def test_help_exits_zero():
         assert name in result.stdout
 
 
+def test_help_into_a_closed_pipe_is_like_any_closed_pipe():
+    # `sweep --help | (exec 0<&-)`: a pipe whose reader is gone before the
+    # child writes, and a buffered stdout, so the help text fails on flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    try:
+        result = subprocess.run(
+            _CMD + ["sweep", "--help"], stdout=write_end, stderr=subprocess.PIPE,
+            text=True, env=env, timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (1, "")
+
+
+_OPTIMIZE = ["optimize", "--elements", "256", *_scenario_flags(_STRONG)]
+
+
+def test_run_freezes_the_collector_before_exit():
+    # an atexit hook runs after run() and before shutdown's last collection
+    probe = (
+        "import atexit, gc\n"
+        "from arraygain import cli\n"
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+        "cli.run()\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe, *_OPTIMIZE], capture_output=True, text=True, timeout=300
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == _run(*_OPTIMIZE).stdout + "True\n"
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    # plan, the tests and library callers run main in a process that goes on
+    # collecting afterwards
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert _main(capsys, _OPTIMIZE).returncode == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
 # --- imports ------------------------------------------------------------
 
 # runs the CLI in a child where any import of numpy fails
@@ -1245,7 +1288,7 @@ _WITHOUT_NUMPY = (
     "import sys\n"
     "sys.modules['numpy'] = None\n"
     "from arraygain import cli\n"
-    "raise SystemExit(cli.main(sys.argv[1:]))\n"
+    "cli.run()\n"
 )
 
 
