@@ -15,6 +15,11 @@ field order, 6-decimal floats, LF line endings.
 rows, then runs of equal rows in blocks ending at multiples of 1,000
 columns, gains from ``beam``; :func:`_write_sweep` says which blocks join.
 
+An ``--out``/``--csv`` PATH naming a writable regular file of this user and
+group with no other link is replaced: a new inode, same group and mode.
+Other paths (symlinks, hard links, devices, FIFOs) or a failed remove are
+truncated in place.  A failed write leaves no partial file either way.
+
 Each subcommand imports the modules it runs when it runs, so a cold
 start compiles and loads only those, and :func:`run` freezes the
 collector before exit, so a cold run's shutdown does not walk them again.
@@ -140,6 +145,21 @@ def _db(value: float) -> str:
     return "0.000000" if text == "-0.000000" else text
 
 
+def _removed(path: str) -> os.stat_result | None:
+    # the old file at path, removed to be made anew; None to truncate it (ext4
+    # starts writeback when a file truncated over data is closed).  Only a
+    # regular file that path names itself, with one link, its owner's write
+    # bit and this process's owner and group, so that a new file can match it
+    with suppress(OSError):
+        old = os.lstat(path)
+        if (os.name == "posix" and stat.S_ISREG(old.st_mode) and old.st_nlink == 1
+                and old.st_mode & stat.S_IWUSR
+                and (old.st_uid, old.st_gid) == (os.geteuid(), os.getegid())):
+            os.remove(path)
+            return old
+    return None
+
+
 @contextmanager
 def _output(path: str | None):
     # stdout for None; else the file at path, removed again when writing or
@@ -149,9 +169,15 @@ def _output(path: str | None):
     if path is None:
         yield sys.stdout
         return
-    with open(path, "w", encoding="utf-8", newline="\n") as out:
+    old = _removed(path)
+    target = path if old is None else os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+    with open(target, "w", encoding="utf-8", newline="\n") as out:
         opened = os.fstat(out.fileno())
         try:
+            if old is not None:
+                # a set-group-ID directory gives a new file the directory's group
+                os.fchown(out.fileno(), -1, old.st_gid)
+                os.fchmod(out.fileno(), stat.S_IMODE(old.st_mode))
             yield out
             out.close()  # the last flush can fail too (a full disk)
         except BaseException:

@@ -556,6 +556,147 @@ def test_failed_last_flush_removes_the_file(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+# --- an --out or --csv path that already exists ---------------------------
+
+_SMALL_SWEEP = ["sweep", "--elements", "64", *_scenario_flags(_STRONG)]
+_OLD_ROWS = "rows,cols,effective_gain_dbi,is_optimum\n" + "1,1,0.000000,0\n" * 200
+
+
+def _stdout_bytes(capsys, argv):
+    # the bytes the command prints when it has no output file
+    assert cli.main(argv) == 0
+    return capsys.readouterr().out.encode()
+
+
+def _old_file(path, mode=0o644):
+    path.write_text(_OLD_ROWS)
+    path.chmod(mode)
+    return path
+
+
+# An inode number freed by a remove can be handed straight to the next file,
+# so the tests below tell a replaced file from a truncated one by a handle
+# held open on the old file: it reads the new rows only when truncated
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o664])
+def test_existing_file_is_replaced_with_its_mode(tmp_path, capsys, mode):
+    out = _old_file(tmp_path / "rows.csv", mode)
+    want = _stdout_bytes(capsys, _SMALL_SWEEP)
+    with open(out) as held:
+        assert cli.main([*_SMALL_SWEEP, "--out", str(out)]) == 0
+        assert held.read() == _OLD_ROWS
+    assert out.read_bytes() == want
+    assert stat.S_IMODE(os.stat(out).st_mode) == mode
+
+
+def test_replaced_file_keeps_its_group_in_a_set_group_id_directory(tmp_path, capsys):
+    # a new file there takes the directory's group, not the old file's
+    others = [gid for gid in os.getgroups() if gid != os.getegid()]
+    if os.geteuid() == 0:
+        others.append(os.getegid() + 1)
+    if not others:
+        pytest.skip("needs a second group to give the directory")
+    shared = tmp_path / "shared"
+    shared.mkdir()
+    os.chown(shared, -1, others[0])
+    shared.chmod(0o2775)
+    out = _old_file(shared / "rows.csv")
+    os.chown(out, -1, os.getegid())
+    want = _stdout_bytes(capsys, _SMALL_SWEEP)
+    with open(out) as held:
+        assert cli.main([*_SMALL_SWEEP, "--out", str(out)]) == 0
+        assert held.read() == _OLD_ROWS
+    assert out.read_bytes() == want
+    assert (os.stat(out).st_gid, stat.S_IMODE(os.stat(out).st_mode)) == (os.getegid(), 0o644)
+
+
+def test_hard_linked_file_is_truncated_in_place(tmp_path, capsys):
+    out = _old_file(tmp_path / "rows.csv")
+    other = tmp_path / "other.csv"
+    os.link(out, other)
+    want = _stdout_bytes(capsys, _SMALL_SWEEP)
+    with open(out, "rb") as held:
+        assert cli.main([*_SMALL_SWEEP, "--out", str(out)]) == 0
+        assert held.read() == out.read_bytes() == other.read_bytes() == want
+    assert os.path.samefile(out, other)
+
+
+def test_symlinked_file_is_written_through(tmp_path, capsys):
+    target = _old_file(tmp_path / "rows.csv")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    want = _stdout_bytes(capsys, _SMALL_SWEEP)
+    with open(target, "rb") as held:
+        assert cli.main([*_SMALL_SWEEP, "--out", str(link)]) == 0
+        assert held.read() == target.read_bytes() == want
+    assert link.is_symlink()
+
+
+@pytest.mark.parametrize("case", ["other-owner", "other-group", "no-owner-write"])
+def test_file_that_a_new_one_would_not_match_is_truncated_in_place(tmp_path, monkeypatch, capsys, case):
+    out = _old_file(tmp_path / "rows.csv", 0o444 if case == "no-owner-write" else 0o644)
+    want = _stdout_bytes(capsys, _SMALL_SWEEP)
+    if case == "other-owner":
+        monkeypatch.setattr(os, "geteuid", lambda: os.stat(out).st_uid + 1)
+    elif case == "other-group":
+        monkeypatch.setattr(os, "getegid", lambda: os.stat(out).st_gid + 1)
+    with open(out, "rb") as held:
+        result = _main(capsys, [*_SMALL_SWEEP, "--out", str(out)])
+        if case == "no-owner-write" and os.geteuid() != 0:
+            # as before: only a privileged caller may truncate a read-only file
+            assert _refused(result, "io").startswith("error[io]: [Errno 13] Permission denied")
+            assert held.read() == out.read_bytes() == _OLD_ROWS.encode()
+        else:
+            assert result.returncode == 0
+            assert held.read() == out.read_bytes() == want
+
+
+def test_refused_remove_falls_back_to_truncation(tmp_path, monkeypatch, capsys):
+    out = _old_file(tmp_path / "rows.csv")
+    want = _stdout_bytes(capsys, _SMALL_SWEEP)
+
+    def refuse(path):
+        raise PermissionError(errno.EACCES, "Permission denied", path)
+
+    monkeypatch.setattr(os, "remove", refuse)
+    with open(out, "rb") as held:
+        assert cli.main([*_SMALL_SWEEP, "--out", str(out)]) == 0
+        assert held.read() == out.read_bytes() == want
+
+
+def test_name_planted_after_the_remove_is_left_alone(tmp_path, monkeypatch, capsys):
+    # another writer creates the name between the remove and the create
+    out = _old_file(tmp_path / "rows.csv")
+    remove = os.remove
+
+    def remove_and_plant(path):
+        remove(path)
+        Path(path).write_text("planted\n")
+
+    monkeypatch.setattr(os, "remove", remove_and_plant)
+    result = _main(capsys, [*_SMALL_SWEEP, "--out", str(out)])
+    assert _refused(result, "io").startswith("error[io]: [Errno 17] File exists")
+    assert out.read_text() == "planted\n"
+
+
+def test_sweep_failure_over_an_existing_file_leaves_no_file(tmp_path, capsys, failing_write):
+    out = _old_file(tmp_path / "rows.csv")
+    assert _refused(_main(capsys, [*_SWEEP, "--out", str(out)]), "io") == _FAILED_WRITE
+    assert not out.exists()
+
+
+def test_optimize_csv_over_an_existing_file_writes_the_same_row(tmp_path, capsys):
+    # the row is the optimum's, as a sweep of that one geometry prints it
+    flags = ["--elements", "256", *_scenario_flags(_STRONG)]
+    out = _old_file(tmp_path / "rows.csv")
+    report = _stdout_bytes(capsys, ["optimize", *flags])
+    assert "integer optimum: 32 x 8 (256 elements)" in report.decode().splitlines()
+    want = _stdout_bytes(capsys, ["sweep", *flags, "--geometries", "32x8"])
+    assert _stdout_bytes(capsys, ["optimize", *flags, "--csv", str(out)]) == report
+    assert out.read_bytes() == want
+
+
 def test_closed_pipe_is_not_an_io_error():
     # `sweep | head -n 1`: a reader that closes the pipe gets no error line
     sweep = subprocess.Popen(
