@@ -13,7 +13,9 @@ field order, 6-decimal floats, LF line endings.
 
 ``sweep`` writes cols 1..999, or a listed set, in batches of up to 1,000
 rows, then runs of equal rows in blocks ending at multiples of 1,000
-columns, gains from ``beam``; :func:`_write_sweep` says which blocks join.
+columns, gains from ``beam``; :func:`_write_sweep` says which blocks join,
+when one with few changes of text is halved, and why the bytes are those
+of a row-by-row writer either way.
 
 An ``--out``/``--csv`` PATH naming a writable regular file of this user and
 group with no other link is replaced: a new inode, same group and mode.
@@ -214,8 +216,10 @@ def _write_sweep(path: str | None, element, spread, geometries, runs, winner) ->
     # "%.6f" is correctly rounded, so it never falls as its input rises: when
     # min - m and max + m print alike, every column prints that text, and the
     # block is one join over the last three digits of its cols with no gain
-    # computed inside it.  Any other block is written row by row; both give
-    # the same bytes, so nothing checks the rows a join stands for
+    # computed inside it.  That holds for any part of a block too: a part of
+    # 32 rows or more whose ends lie under len / 32 text steps (1e-6 dB) apart
+    # is halved, each half decided alike (dbi keeps the ends it computed).
+    # Any other part is written row by row; all give the same bytes
     with _output(path) as out:
         out.write(SWEEP_HEADER + "\n")
         rows, cols = geometries
@@ -223,23 +227,24 @@ def _write_sweep(path: str | None, element, spread, geometries, runs, winner) ->
             batch = slice(i, i + _SWEEP_BLOCK)
             _write_batch(out, element, spread, rows[batch], cols[batch], winner)
         for rows, cols in runs:
-            def dbi(col: int) -> float:
-                return linear_to_db(effective_gain_value(element, rows, col, spread))
-
-            start = cols.start
-            while start < cols.stop:
-                block = range(start, min(start - start % _SWEEP_BLOCK + _SWEEP_BLOCK, cols.stop))
-                head = f"{rows},{start // _SWEEP_BLOCK}"
-                tails = _tails()[start % _SWEEP_BLOCK:][:len(block)]
+            dbi = cache(lambda col: linear_to_db(effective_gain_value(element, rows, col, spread)))
+            for edge in range(cols.start - cols.start % _SWEEP_BLOCK, cols.stop, _SWEEP_BLOCK):
+                block = range(max(edge, cols.start), min(edge + _SWEEP_BLOCK, cols.stop))
                 if rows == winner.rows and winner.cols in block:
                     _write_batch(out, element, spread, [rows] * len(block), block, winner)
-                elif (shared := _flat_text(dbi, block)) is not None:
-                    out.write(head + f",{shared},0\n{head}".join(tails) + f",{shared},0\n")
-                else:
-                    dbis = row_gains_dbi(element, rows, block, spread)
-                    template = f"{head}%s,%.6f,0\n" * len(block)
-                    out.write(template % tuple(chain.from_iterable(zip(tails, dbis))))
-                start = block.stop
+                    continue
+                head, parts = f"{rows},{edge // _SWEEP_BLOCK}", [block]
+                while parts:  # depth first, so the parts come out in order
+                    part = parts.pop()
+                    shared = _flat_text(dbi, part)
+                    if shared is None and 32 <= len(part) > 32e6 * (dbi(part[-1]) - dbi(part[0])):
+                        parts += part[len(part) // 2:], part[:len(part) // 2]
+                        continue
+                    tails = _tails()[part.start - edge:part.stop - edge]
+                    sep = f",{shared},0\n" if shared else ",%.6f,0\n"
+                    text = head + (sep + head).join(tails) + sep
+                    out.write(text if shared else
+                              text % tuple(row_gains_dbi(element, rows, part, spread)))
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:

@@ -730,24 +730,39 @@ def test_sweep_long_run_is_written_in_blocks(tmp_path):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
-def test_zero_spread_sweep_matches_its_digest(tmp_path, monkeypatch):
-    # with no spread the gain climbs at every column, so no block joins and
-    # every row is written row by row
-    real = cli._flat_text
-    joined = []
+def _watch_decisions(monkeypatch):
+    """Wrap cli._flat_text; return the (block, text, split) of each decision.
+
+    split: the block lies inside one of the same run refused before.  The
+    writer decides the halves of a block it splits right after that block,
+    so the refused blocks still open form a stack of nested ranges.
+    """
+    real, decisions, refused = cli._flat_text, [], []
 
     def flat_text(dbi, block):
         text = real(dbi, block)
-        joined.append(text is not None and len(block) > 1)
+        while refused and not (refused[-1][0] is dbi and block.start in refused[-1][1]
+                               and block.stop <= refused[-1][1].stop):
+            refused.pop()
+        decisions.append((block, text, bool(refused)))
+        if text is None:
+            refused.append((dbi, block))
         return text
 
     monkeypatch.setattr(cli, "_flat_text", flat_text)
+    return decisions
+
+
+def test_zero_spread_sweep_matches_its_digest(tmp_path, monkeypatch):
+    # with no spread the gain climbs at every column, so no block joins and
+    # every row is written row by row
+    decisions = _watch_decisions(monkeypatch)
     out = tmp_path / "sweep.csv"
     status = cli.main([
         "sweep", "--elements", "20000", "--element-gain-dbi", "5",
         "--asd-deg", "0", "--zsd-deg", "0", "--out", str(out),
     ])
-    assert status == 0 and not any(joined)
+    assert status == 0 and not any(text is not None and len(block) > 1 for block, text, _ in decisions)
     data = out.read_bytes()
     assert data.count(b"\n") == 20_001
     # the digest that the stdlib CI job also checks
@@ -788,34 +803,106 @@ def test_large_sweeps_match_the_per_row_reference(
         argv += ["--geometries", _geometry_text(geometries)]
     want, error = _reference_sweep_text(scenario, listed, restriction)
     assert error == ""
-    real = cli._flat_text
-    joined = []  # the length of each block written as one join
-    decided = []  # the length of each block the two-point decision saw
-
-    def flat_text(dbi, block):
-        text = real(dbi, block)
-        decided.append(len(block))
-        if text is not None:
-            joined.append(len(block))
-        return text
-
-    monkeypatch.setattr(cli, "_flat_text", flat_text)
+    decisions = _watch_decisions(monkeypatch)
     out = tmp_path / "rows.csv"
     assert cli.main(argv) == 0
     _assert_same_text(capsys.readouterr().out, want, "stdout")
     assert cli.main([*argv, "--out", str(out)]) == 0
     _assert_same_text(out.read_text(encoding="utf-8"), want, "--out")
+    joined = [len(block) for block, text, _ in decisions if text is not None]
+    decided = [len(block) for block, _, _ in decisions]
     if joined_share == 0.0:
         assert max(joined, default=1) == 1
     elif joined_share is not None:
         assert sum(joined) > 2 * joined_share * n  # two sweeps of n rows
-        # gains computed: two per decision and one per row not joined; the
-        # joined rows cost two per block, under n / 100 of them in all
+        # gains computed: at most two per decision and one per row not
+        # joined; the joined rows cost two per block, under n / 100 in all
         assert 2 * len(joined) < 2 * n / 100
         assert 2 * len(decided) + 2 * n - sum(joined) < 2 * n / 50
     if geometries is not None:
         # a listed geometry is a run of one column: one line, no decision
         assert decided == []
+
+
+def test_random_sweeps_with_split_blocks_match_the_per_row_reference(monkeypatch, capsys):
+    rng = random.Random(20261022)
+    decisions = _watch_decisions(monkeypatch)
+    split_joined, zero_asd = 0, 0
+    for _ in range(12):
+        n = round(math.exp(rng.uniform(math.log(1000), math.log(300_000))))
+        spreads = [rng.choice((0.0, 1e-5, round(rng.uniform(0.01, 60.0), 4))) for _ in range(2)]
+        if rng.random() < 0.5:
+            element = {"element_gain_dbi": round(rng.uniform(0.0, 20.0), 4)}
+        else:
+            widths = [round(rng.uniform(1.0, 120.0), 4) for _ in range(2)]
+            element = {"bw_elev_deg": widths[0], "bw_azim_deg": widths[1]}
+        values = {**element, "asd_deg": spreads[0], "zsd_deg": spreads[1]}
+        want, error = _reference_sweep_text(
+            Scenario(n_elements=n, **values), [(n // cols, cols) for cols in range(1, n + 1)]
+        )
+        assert error == ""
+        decisions.clear()
+        assert cli.main(["sweep", "--elements", str(n), *_scenario_flags(values)]) == 0
+        _assert_same_text(capsys.readouterr().out, want, values)
+        split_joined += sum(len(block) for block, text, split in decisions if split and text is not None)
+        if values["asd_deg"] == 0.0:
+            # the azimuth width is all that changes along a run: with no
+            # spread the text changes at every row, and no block is split
+            zero_asd += 1
+            assert not any(split for _, _, split in decisions), values
+    assert split_joined > 1000 and zero_asd >= 2
+
+
+@pytest.mark.parametrize(
+    "n, values, counts",
+    [
+        # 3,371 gains when no block was split: 798 end gains, 1,573 rows
+        # written row by row and the batch's 1,000
+        (200_000, _STRONG, {"scalar": 836, "rows": 564, "pairs": 1000}),
+        # no block splits, and a block of one column computes one end gain
+        # (78 end gains when both ends were computed)
+        (20_000, {**_STRONG, "asd_deg": 0.0, "zsd_deg": 0.0}, {"scalar": 72, "rows": 18_995, "pairs": 1000}),
+        # 78 end gains and 18,995 rows written row by row when no block was split
+        (20_000, {**_STRONG, "asd_deg": 1.0}, {"scalar": 560, "rows": 7897, "pairs": 1000}),
+    ],
+    ids=["joins", "zero-spread", "split"],
+)
+def test_sweep_computes_few_gains(n, values, counts, monkeypatch, capsys):
+    # gains the writer computes: scalar ones at block ends, and the rows
+    # that go through the run and pair chains
+    seen = dict.fromkeys(counts, 0)
+
+    def counted(name, real, size):
+        def wrapper(*args):
+            seen[name] += size(args)
+            return real(*args)
+        monkeypatch.setattr(cli, real.__name__, wrapper)
+
+    counted("scalar", cli.effective_gain_value, lambda args: 1)
+    counted("rows", cli.row_gains_dbi, lambda args: len(args[2]))
+    counted("pairs", cli.pair_gains_dbi, lambda args: len(args[2]))
+    assert cli.main(["sweep", "--elements", str(n), *_scenario_flags(values)]) == 0
+    assert capsys.readouterr().out.count("\n") == n + 1
+    assert seen == counts
+
+
+def test_split_sweep_matches_its_digest(tmp_path, monkeypatch):
+    # most joined rows here lie in halves of split blocks; the digest was
+    # made by a writer that split no block
+    decisions = _watch_decisions(monkeypatch)
+    out = tmp_path / "sweep.csv"
+    status = cli.main([
+        "sweep", "--elements", "20000", "--element-gain-dbi", "5",
+        "--asd-deg", "1", "--zsd-deg", "5", "--out", str(out),
+    ])
+    assert status == 0
+    joined = [(len(block), split) for block, text, split in decisions if text is not None]
+    assert sum(size for size, split in joined if split) > 0.9 * sum(size for size, _ in joined)
+    data = out.read_bytes()
+    assert data.count(b"\n") == 20_001
+    # the digest that the stdlib CI job also checks
+    digest = (_DATA / "sweep_20000_split.sha256").read_text().split()[0]
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def _run_dbi(element, rows, spread):
